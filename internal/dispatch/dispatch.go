@@ -24,6 +24,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -409,26 +410,10 @@ func (e errBusy) Error() string {
 
 func asBusy(err error) (bool, time.Duration) {
 	var b errBusy
-	if ok := errAs(err, &b); ok {
+	if errors.As(err, &b) {
 		return true, b.retryAfter
 	}
 	return false, 0
-}
-
-// errAs is errors.As without the reflective any-target form.
-func errAs(err error, target *errBusy) bool {
-	for err != nil {
-		if b, ok := err.(errBusy); ok {
-			*target = b
-			return true
-		}
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		err = u.Unwrap()
-	}
-	return false
 }
 
 // runShard drives one shard attempt on one worker: submit, watch the event

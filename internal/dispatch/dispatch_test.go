@@ -10,8 +10,10 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -24,13 +26,22 @@ import (
 	"rescue/internal/sweep"
 )
 
-// miniFlow is the test job kind: one small deterministic campaign rendered
-// as a text report. Every execution — coordinator or worker — rebuilds the
-// identical sim and pattern set, so the content-addressed shard keys line
-// up exactly as they would for two rescued processes loading the same
-// design. Registered on the workers (so shard jobs can resolve it) and
-// executed directly by the coordinator under a shard plan.
-func miniFlow(ctx context.Context, rc serve.RunContext, _ json.RawMessage) ([]byte, error) {
+// miniParams selects one mini job: the seed drives its random patterns, so
+// every job of a fan-out computes something different.
+type miniParams struct {
+	Seed int64 `json:"seed"`
+}
+
+// miniFlow is the test job kind: one small deterministic fault campaign
+// rendered as a text report. The same params give the same bytes on any
+// worker or locally, which is what makes a remote result checkable.
+func miniFlow(ctx context.Context, rc serve.RunContext, params json.RawMessage) ([]byte, error) {
+	var p miniParams
+	if len(params) > 0 {
+		if err := json.Unmarshal(params, &p); err != nil {
+			return nil, err
+		}
+	}
 	d, err := rtl.Build(rtl.Small(), rtl.RescueDesign)
 	if err != nil {
 		return nil, err
@@ -39,17 +50,17 @@ func miniFlow(ctx context.Context, rc serve.RunContext, _ json.RawMessage) ([]by
 	if err != nil {
 		return nil, err
 	}
-	r := rand.New(rand.NewSource(61))
+	r := rand.New(rand.NewSource(61 + p.Seed))
 	var pats []*scan.Pattern
 	for w := 0; w < 2; w++ {
-		p := c.NewPattern(64)
-		for i := range p.FFVals {
-			p.FFVals[i] = r.Uint64()
+		pat := c.NewPattern(64)
+		for i := range pat.FFVals {
+			pat.FFVals[i] = r.Uint64()
 		}
-		for i := range p.PIVals {
-			p.PIVals[i] = r.Uint64()
+		for i := range pat.PIVals {
+			pat.PIVals[i] = r.Uint64()
 		}
-		pats = append(pats, p)
+		pats = append(pats, pat)
 	}
 	sim := fault.NewSim(c, pats)
 	faults := fault.NewUniverse(d.N).Collapsed[:200]
@@ -59,11 +70,17 @@ func miniFlow(ctx context.Context, rc serve.RunContext, _ json.RawMessage) ([]by
 		return nil, err
 	}
 	var buf bytes.Buffer
+	fmt.Fprintf(&buf, "seed=%d\n", p.Seed)
 	for i, r := range res {
 		fmt.Fprintf(&buf, "%4d %v %d %v\n", i, r.Detected, len(r.Fails), r.FailObs)
 	}
 	fmt.Fprintf(&buf, "faults=%d detected=%d\n", st.Faults, st.Detected)
 	return buf.Bytes(), nil
+}
+
+func miniSpec(seed int) serve.Spec {
+	params, _ := json.Marshal(miniParams{Seed: int64(seed)})
+	return serve.Spec{Kind: "mini", Params: params}
 }
 
 // newWorker starts one in-process rescued worker that knows the mini kind.
@@ -85,119 +102,134 @@ func workerURLs(servers ...*httptest.Server) []string {
 	return urls
 }
 
-// runCoordinator executes the mini flow locally under the pool's shard
-// plan — the same wiring rescue-shard uses.
-func runCoordinator(t *testing.T, p *dispatch.Pool) []byte {
+// localGolden runs jobs mini jobs in this process, in seed order.
+func localGolden(t *testing.T, jobs int) []byte {
 	t.Helper()
-	ctx := fault.WithShardPlan(context.Background(), p.Plan())
-	out, err := miniFlow(ctx, serve.RunContext{Workers: 2}, nil)
-	if err != nil {
-		t.Fatalf("coordinator flow: %v", err)
+	var out []byte
+	for i := 0; i < jobs; i++ {
+		b, err := miniFlow(context.Background(), serve.RunContext{Workers: 2}, miniSpec(i).Params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, b...)
 	}
 	return out
 }
 
-func serialGolden(t *testing.T) []byte {
+// fanOut submits one mini job per seed through the pool, all at once, and
+// concatenates the outputs in seed order. A job the pool gives up on is
+// recomputed locally and counted — the caller-side fallback rescue-sweep
+// uses. onDone, when set, runs after every remotely completed job.
+func fanOut(t *testing.T, p *dispatch.Pool, jobs int, onDone func()) (out []byte, fallbacks int) {
 	t.Helper()
-	out, err := miniFlow(context.Background(), serve.RunContext{Workers: 2}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
-}
-
-// TestDispatchDeterminism: the merged distributed result is byte-identical
-// to the serial run at any shard count, with every shard computed remotely.
-func TestDispatchDeterminism(t *testing.T) {
-	want := serialGolden(t)
-	w1, w2, w3 := newWorker(t), newWorker(t), newWorker(t)
-
-	for _, shards := range []int{1, 2, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			p, err := dispatch.NewPool(dispatch.Config{
-				Workers:   workerURLs(w1, w2, w3),
-				Flow:      serve.Spec{Kind: "mini"},
-				Shards:    shards,
-				MinFaults: 1,
-				Seed:      42,
-				Logf:      t.Logf,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer p.Close()
-			got := runCoordinator(t, p)
-			if !bytes.Equal(got, want) {
-				t.Fatalf("distributed output differs from serial golden at %d shards", shards)
-			}
-			st := p.Stats()
-			if st.Completed != int64(shards) {
-				t.Fatalf("completed %d shards remotely, want %d", st.Completed, shards)
-			}
-			if st.Fallbacks != 0 {
-				t.Fatalf("%d shards fell back locally, want 0", st.Fallbacks)
-			}
-		})
-	}
-}
-
-// TestDispatchChaosKill: a worker killed mid-campaign loses its in-flight
-// shards; the pool reassigns them to survivors and the merged output stays
-// byte-identical to the serial golden.
-func TestDispatchChaosKill(t *testing.T) {
-	want := serialGolden(t)
-	servers := []*httptest.Server{newWorker(t), newWorker(t), newWorker(t)}
-
-	var killMu sync.Mutex
-	killed := map[int]bool{}
-	p, err := dispatch.NewPool(dispatch.Config{
-		Workers:     workerURLs(servers...),
-		Flow:        serve.Spec{Kind: "mini"},
-		Shards:      6,
-		MinFaults:   1,
-		Seed:        7,
-		BackoffBase: 5 * time.Millisecond,
-		BackoffCap:  50 * time.Millisecond,
-		HealthEvery: 50 * time.Millisecond,
-		Logf:        t.Logf,
-		Chaos: dispatch.ChaosConfig{
-			KillWorkers: 1,
-			AfterShards: 1,
-			Kill: func(i int) error {
-				killMu.Lock()
-				defer killMu.Unlock()
-				if !killed[i] {
-					killed[i] = true
-					servers[i].CloseClientConnections()
-					servers[i].Close()
+	outs := make([][]byte, jobs)
+	var fb atomic.Int64
+	var wg sync.WaitGroup
+	for i := 0; i < jobs; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			spec := miniSpec(i)
+			b, err := p.ExecJob(context.Background(), spec)
+			if err == nil {
+				if onDone != nil {
+					onDone()
 				}
-				return nil
-			},
-		},
+				outs[i] = b
+				return
+			}
+			fb.Add(1)
+			if b, err = miniFlow(context.Background(), serve.RunContext{Workers: 2}, spec.Params); err != nil {
+				t.Errorf("local fallback for job %d: %v", i, err)
+			}
+			outs[i] = b
+		}(i)
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	return bytes.Join(outs, nil), int(fb.Load())
+}
+
+// TestDispatchDeterminism: jobs fanned out across three workers come back
+// byte-identical to the same jobs run locally, every one computed remotely.
+func TestDispatchDeterminism(t *testing.T) {
+	const jobs = 6
+	want := localGolden(t, jobs)
+	p, err := dispatch.NewPool(dispatch.Config{
+		Workers: workerURLs(newWorker(t), newWorker(t), newWorker(t)),
+		Seed:    42,
+		Logf:    t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
 
-	got := runCoordinator(t, p)
+	got, fallbacks := fanOut(t, p, jobs, nil)
 	if !bytes.Equal(got, want) {
-		t.Fatal("chaos run output differs from serial golden")
+		t.Fatal("remote output differs from the local run")
 	}
-	st := p.Stats()
-	if st.Killed != 1 {
-		t.Fatalf("chaos killed %d workers, want 1", st.Killed)
+	if fallbacks != 0 {
+		t.Fatalf("%d jobs fell back locally, want 0", fallbacks)
 	}
-	if st.Completed == 0 {
-		t.Fatal("no shards completed remotely")
+	if st := p.Stats(); st.Completed != jobs {
+		t.Fatalf("completed %d jobs remotely, want %d", st.Completed, jobs)
 	}
 }
 
-// TestDispatchAllWorkersDead: with every worker unreachable the campaign
-// still completes — every shard falls back to local execution and the
-// output matches the serial golden.
+// TestDispatchChaosKill: a worker killed mid-run — connections dropped and
+// listener closed right after the first job completes anywhere — loses its
+// queued and running jobs; the pool reassigns them to the survivors and
+// the merged output stays byte-identical with no local fallback.
+func TestDispatchChaosKill(t *testing.T) {
+	// Three jobs per worker on one-slot workers: when the first job
+	// completes, the victim still holds at least two.
+	const jobs = 9
+	want := localGolden(t, jobs)
+	servers := []*httptest.Server{newWorker(t), newWorker(t), newWorker(t)}
+	p, err := dispatch.NewPool(dispatch.Config{
+		Workers:     workerURLs(servers...),
+		Seed:        7,
+		BackoffBase: 5 * time.Millisecond,
+		BackoffCap:  50 * time.Millisecond,
+		HealthEvery: 50 * time.Millisecond,
+		Logf:        t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+
+	var kill sync.Once
+	got, fallbacks := fanOut(t, p, jobs, func() {
+		kill.Do(func() {
+			servers[0].CloseClientConnections()
+			servers[0].Close()
+		})
+	})
+	if !bytes.Equal(got, want) {
+		t.Fatal("output after a worker kill differs from the local run")
+	}
+	if fallbacks != 0 {
+		t.Fatalf("%d jobs fell back locally, want 0: two workers survived", fallbacks)
+	}
+	st := p.Stats()
+	if st.Completed != jobs {
+		t.Fatalf("completed %d jobs remotely, want %d", st.Completed, jobs)
+	}
+	if st.Retries == 0 {
+		t.Fatal("no job was reassigned after the kill")
+	}
+}
+
+// TestDispatchAllWorkersDead: with every worker unreachable each job
+// errors out of the pool, the caller runs it locally, and the output still
+// matches the local run.
 func TestDispatchAllWorkersDead(t *testing.T) {
-	want := serialGolden(t)
+	const jobs = 3
+	want := localGolden(t, jobs)
 
 	// A freshly released port: connections are refused, not hung.
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -209,9 +241,6 @@ func TestDispatchAllWorkersDead(t *testing.T) {
 
 	p, err := dispatch.NewPool(dispatch.Config{
 		Workers:     []string{dead, dead},
-		Flow:        serve.Spec{Kind: "mini"},
-		Shards:      3,
-		MinFaults:   1,
 		RetryBudget: 1,
 		BackoffBase: time.Millisecond,
 		BackoffCap:  5 * time.Millisecond,
@@ -224,16 +253,15 @@ func TestDispatchAllWorkersDead(t *testing.T) {
 	}
 	defer p.Close()
 
-	got := runCoordinator(t, p)
+	got, fallbacks := fanOut(t, p, jobs, nil)
 	if !bytes.Equal(got, want) {
-		t.Fatal("all-dead fallback output differs from serial golden")
+		t.Fatal("all-dead fallback output differs from the local run")
 	}
-	st := p.Stats()
-	if st.Completed != 0 {
-		t.Fatalf("completed %d shards on dead workers", st.Completed)
+	if st := p.Stats(); st.Completed != 0 {
+		t.Fatalf("completed %d jobs on dead workers", st.Completed)
 	}
-	if st.Fallbacks != 3 {
-		t.Fatalf("%d local fallbacks, want 3", st.Fallbacks)
+	if fallbacks != jobs {
+		t.Fatalf("%d local fallbacks, want %d", fallbacks, jobs)
 	}
 }
 
@@ -289,20 +317,18 @@ func (h *hungWorker) cancels() []string {
 	return append([]string(nil), h.deleted...)
 }
 
-// TestDispatchHungWorker: a worker that accepts a shard and never emits an
-// event trips the heartbeat watchdog; the coordinator cancels the
-// abandoned job (so its late result is never read), reassigns the shard to
-// a live worker, and the merged output is still byte-identical.
+// TestDispatchHungWorker: a worker that accepts a job and never emits an
+// event trips the heartbeat watchdog; the pool DELETEs the abandoned job
+// (its late result is never read), reassigns it to a live worker, and the
+// merged output is still byte-identical.
 func TestDispatchHungWorker(t *testing.T) {
-	want := serialGolden(t)
+	const jobs = 2
+	want := localGolden(t, jobs)
 	hung := newHungWorker(t)
 	live := newWorker(t)
 
 	p, err := dispatch.NewPool(dispatch.Config{
 		Workers:     []string{hung.ts.URL, live.URL},
-		Flow:        serve.Spec{Kind: "mini"},
-		Shards:      2,
-		MinFaults:   1,
 		Heartbeat:   150 * time.Millisecond,
 		BackoffBase: time.Millisecond,
 		BackoffCap:  10 * time.Millisecond,
@@ -315,27 +341,30 @@ func TestDispatchHungWorker(t *testing.T) {
 	}
 	defer p.Close()
 
-	got := runCoordinator(t, p)
+	got, fallbacks := fanOut(t, p, jobs, nil)
 	if !bytes.Equal(got, want) {
-		t.Fatal("hung-worker run output differs from serial golden")
+		t.Fatal("hung-worker run output differs from the local run")
+	}
+	if fallbacks != 0 {
+		t.Fatalf("%d jobs fell back locally, want 0", fallbacks)
 	}
 	st := p.Stats()
-	if st.Completed != 2 {
-		t.Fatalf("completed %d shards remotely, want 2", st.Completed)
+	if st.Completed != jobs {
+		t.Fatalf("completed %d jobs remotely, want %d", st.Completed, jobs)
 	}
 	if st.Retries == 0 {
 		t.Fatal("expected at least one retry after the heartbeat timeout")
 	}
 	if len(hung.cancels()) == 0 {
-		t.Fatal("coordinator never cancelled the abandoned job on the hung worker")
+		t.Fatal("pool never cancelled the abandoned job on the hung worker")
 	}
 }
 
 // TestDispatchBusyWorker: a 429 from a saturated worker is not a failure —
-// the pool honors Retry-After (with jitter), keeps the worker in rotation,
-// and completes once the queue drains.
+// the pool waits out Retry-After (plus jitter), keeps the worker in
+// rotation, and completes once the queue drains.
 func TestDispatchBusyWorker(t *testing.T) {
-	want := serialGolden(t)
+	want := localGolden(t, 1)
 
 	release := make(chan struct{})
 	kinds := serve.Kinds()
@@ -352,7 +381,8 @@ func TestDispatchBusyWorker(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 
-	// Saturate: one blocker holds the slot, a second fills the queue.
+	// Saturate: one blocker holds the slot, a second fills the queue; a
+	// third submission is shed with the Retry-After the pool must honour.
 	for i := 0; i < 2; i++ {
 		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(`{"kind":"block"}`))
 		if err != nil {
@@ -363,15 +393,25 @@ func TestDispatchBusyWorker(t *testing.T) {
 			t.Fatalf("blocker %d: HTTP %d", i, resp.StatusCode)
 		}
 	}
+	probe, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(`{"kind":"block"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe.Body.Close()
+	retryAfter, err := strconv.Atoi(probe.Header.Get("Retry-After"))
+	if probe.StatusCode != http.StatusTooManyRequests || err != nil || retryAfter < 1 {
+		t.Fatalf("saturated worker answered HTTP %d, Retry-After %q; want 429 with seconds",
+			probe.StatusCode, probe.Header.Get("Retry-After"))
+	}
 
 	p, err := dispatch.NewPool(dispatch.Config{
 		Workers:     []string{ts.URL},
-		Flow:        serve.Spec{Kind: "mini"},
-		Shards:      1,
-		MinFaults:   1,
 		BackoffBase: 10 * time.Millisecond,
 		BackoffCap:  100 * time.Millisecond,
 		RetryBudget: 100,
+		// No health polling: with one worker, a 429 that marked it down
+		// would leave nothing to pick and the job would fall back.
+		HealthEvery: time.Hour,
 		Seed:        9,
 		Logf:        t.Logf,
 	})
@@ -386,19 +426,24 @@ func TestDispatchBusyWorker(t *testing.T) {
 		close(release)
 	}()
 
-	got := runCoordinator(t, p)
+	start := time.Now()
+	got, fallbacks := fanOut(t, p, 1, nil)
+	elapsed := time.Since(start)
 	if !bytes.Equal(got, want) {
-		t.Fatal("busy-worker run output differs from serial golden")
+		t.Fatal("busy-worker run output differs from the local run")
+	}
+	if fallbacks != 0 {
+		t.Fatalf("%d fallbacks, want 0: a 429 must not mark the worker down", fallbacks)
 	}
 	st := p.Stats()
 	if st.Completed != 1 {
-		t.Fatalf("completed %d shards remotely, want 1", st.Completed)
+		t.Fatalf("completed %d jobs remotely, want 1", st.Completed)
 	}
 	if st.Retries == 0 {
 		t.Fatal("expected retries while the worker queue was full")
 	}
-	if st.Fallbacks != 0 {
-		t.Fatalf("%d fallbacks, want 0: 429 must not exhaust the pool", st.Fallbacks)
+	if min := time.Duration(retryAfter) * time.Second; elapsed < min {
+		t.Fatalf("job finished after %s, before the worker's Retry-After of %s", elapsed, min)
 	}
 }
 
@@ -408,13 +453,7 @@ func TestDispatchConfigValidation(t *testing.T) {
 		name string
 		cfg  dispatch.Config
 	}{
-		{"no workers", dispatch.Config{Flow: serve.Spec{Kind: "mini"}}},
-		{"nested shard", dispatch.Config{Workers: []string{"http://x"}, Flow: serve.Spec{Kind: "shard"}}},
-		{"chaos without kill", dispatch.Config{
-			Workers: []string{"http://x"},
-			Flow:    serve.Spec{Kind: "mini"},
-			Chaos:   dispatch.ChaosConfig{KillWorkers: 1},
-		}},
+		{"no workers", dispatch.Config{}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -423,24 +462,11 @@ func TestDispatchConfigValidation(t *testing.T) {
 			}
 		})
 	}
-
-	// A Flow-less pool is legal (ExecJob-only use), but shard dispatch
-	// through it must refuse rather than submit an empty kind.
-	t.Run("flowless pool refuses Exec", func(t *testing.T) {
-		p, err := dispatch.NewPool(dispatch.Config{Workers: []string{"http://x"}, HealthEvery: time.Hour})
-		if err != nil {
-			t.Fatalf("flow-less pool: %v", err)
-		}
-		defer p.Close()
-		if _, err := p.Exec(context.Background(), fault.CampaignKey{}, 0, 1); err == nil {
-			t.Fatal("Exec on a flow-less pool did not error")
-		}
-	})
 }
 
 // TestDispatchExecJobSweep: grid points fanned out to worker daemons as
-// single-point sweep jobs (ExecJob on a Flow-less pool) merge into a
-// frontier byte-identical to the all-local run, with no local fallbacks.
+// single-point sweep jobs merge into a frontier byte-identical to the
+// all-local run, with no local fallbacks.
 func TestDispatchExecJobSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the real small sweep flow locally and on workers")
@@ -515,28 +541,25 @@ func TestDispatchExecJobSweep(t *testing.T) {
 	}
 }
 
-// TestDispatchTenantTag: the coordinator's tenant tag rides every shard
-// submission as X-Rescue-Client, so worker-side per-tenant metrics
-// attribute the shard load to the originating campaign — and the merged
-// output is still byte-identical to the untagged serial run.
+// TestDispatchTenantTag: the pool's tenant tag rides every submission as
+// X-Rescue-Client, so worker-side per-tenant metrics attribute the load to
+// the originating tenant — and the output is still byte-identical.
 func TestDispatchTenantTag(t *testing.T) {
-	want := serialGolden(t)
+	const jobs = 2
+	want := localGolden(t, jobs)
 	w := newWorker(t)
 	p, err := dispatch.NewPool(dispatch.Config{
-		Workers:   workerURLs(w),
-		Flow:      serve.Spec{Kind: "mini"},
-		Shards:    2,
-		MinFaults: 1,
-		Seed:      7,
-		Tenant:    "campaign-a",
-		Logf:      t.Logf,
+		Workers: workerURLs(w),
+		Seed:    7,
+		Tenant:  "campaign-a",
+		Logf:    t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	if got := runCoordinator(t, p); !bytes.Equal(got, want) {
-		t.Fatal("tenant-tagged dispatch changed the merged output")
+	if got, _ := fanOut(t, p, jobs, nil); !bytes.Equal(got, want) {
+		t.Fatal("tenant-tagged dispatch changed the output")
 	}
 	resp, err := http.Get(w.URL + "/metrics")
 	if err != nil {
@@ -545,6 +568,6 @@ func TestDispatchTenantTag(t *testing.T) {
 	defer resp.Body.Close()
 	b, _ := io.ReadAll(resp.Body)
 	if !strings.Contains(string(b), "tenant_campaign_a_admitted_total 2") {
-		t.Fatalf("worker metrics do not attribute shard jobs to the tenant:\n%s", b)
+		t.Fatalf("worker metrics do not attribute jobs to the tenant:\n%s", b)
 	}
 }
