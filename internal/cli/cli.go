@@ -6,8 +6,8 @@
 //	1    runtime failure (build error, I/O, worker panic)
 //	2    usage error (bad flags or arguments)
 //	3    degraded (the work completed and the output is valid, but part of
-//	     it ran in a fallback mode — e.g. shards recomputed locally after
-//	     the worker pool was exhausted)
+//	     it ran in a fallback mode — e.g. sweep points recomputed locally
+//	     after the worker pool was exhausted)
 //	124  deadline exceeded (-timeout); in-flight work finished and any
 //	     checkpoint journal flushed, like an interrupt
 //	130  interrupted (SIGINT/SIGTERM or chaos budget); in-flight work was

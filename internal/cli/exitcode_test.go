@@ -246,39 +246,6 @@ func TestDeadlineExitCodes(t *testing.T) {
 	runCases(t, bins, cases)
 }
 
-// TestShardExitCodes pins rescue-shard's flag validation (exit 2 before
-// any pool or flow work) and the deadline path (exit 124). The degraded
-// path — exit 3 after local fallbacks — needs a real campaign against a
-// dead pool and is exercised by scripts/shard-smoke.sh.
-func TestShardExitCodes(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds binaries")
-	}
-	bins := buildCmds(t, "rescue-shard")
-
-	cases := []exitCase{
-		{"shard no kind", "rescue-shard", []string{"-spawn=2"}, 2, "usage error"},
-		{"shard bad kind", "rescue-shard", []string{"-kind", "nope", "-spawn=2"}, 2, "usage error"},
-		{"shard nested kind", "rescue-shard", []string{"-kind", "shard", "-spawn=2"}, 2, "usage error"},
-		{"shard bad params", "rescue-shard", []string{"-kind", "fab", "-spawn=2", "-params", "{nope"}, 2, "usage error"},
-		{"shard no pool", "rescue-shard", []string{"-kind", "fab"}, 2, "usage error"},
-		{"shard both pools", "rescue-shard", []string{"-kind", "fab", "-spawn=2", "-workers", "http://x"}, 2, "usage error"},
-		{"shard empty worker list", "rescue-shard", []string{"-kind", "fab", "-workers", ","}, 2, "usage error"},
-		{"shard negative spawn", "rescue-shard", []string{"-kind", "fab", "-spawn=-1"}, 2, "usage error"},
-		{"shard chaos without spawn", "rescue-shard", []string{"-kind", "fab", "-workers", "http://x", "-chaos-kill-workers=1"}, 2, "usage error"},
-		{"shard chaos kills more than spawned", "rescue-shard", []string{"-kind", "fab", "-spawn=2", "-chaos-kill-workers=3"}, 2, "usage error"},
-		{"shard negative job workers", "rescue-shard", []string{"-kind", "fab", "-spawn=2", "-job-workers=-1"}, 2, "usage error"},
-		{"shard resume without checkpoint", "rescue-shard", []string{"-kind", "fab", "-spawn=2", "-resume"}, 2, "usage error"},
-		{"shard negative timeout", "rescue-shard", []string{"-kind", "fab", "-spawn=2", "-timeout=-1s"}, 2, "usage error"},
-		{"shard worker negative job workers", "rescue-shard", []string{"-worker", "-job-workers=-1"}, 2, "usage error"},
-		{"shard unknown flag", "rescue-shard", []string{"-no-such-flag"}, 2, ""},
-		{"shard deadline", "rescue-shard",
-			[]string{"-kind", "table3", "-params", `{"small":true}`, "-workers", "http://127.0.0.1:1",
-				"-retry-budget", "1", "-timeout", "1ns", "-quiet"}, 124, "deadline"},
-	}
-	runCases(t, bins, cases)
-}
-
 // TestSweepExitCodes pins rescue-sweep's flag and spec validation (exit 2
 // before any grid work) and the deadline path (exit 124). The degraded
 // path — exit 3 after remote fallbacks — and the kill/-resume byte-identity

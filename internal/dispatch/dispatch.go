@@ -1,23 +1,18 @@
-// Package dispatch fans campaign shards out to a pool of rescued workers
-// over HTTP and survives the pool misbehaving: dead workers are detected
-// by connection failure, health polling, and event-stream heartbeat
-// timeouts; their shards are reassigned to survivors under a retry budget
-// with exponential backoff and seeded jitter; and when the pool is
-// exhausted the shard is handed back to the campaign's local worker pool —
-// the coordinator degrades to a single-node run rather than failing.
+// Package dispatch runs whole jobs on a pool of rescued workers over HTTP
+// and survives the pool misbehaving. ExecJob submits one job spec, follows
+// its event stream, and returns the finished job's result bytes. Dead
+// workers are detected by connection failure, health polling, and an
+// event-stream heartbeat watchdog; their jobs are reassigned to survivors
+// under a retry budget with exponential backoff and seeded jitter. A busy
+// worker (HTTP 429) is waited out, never marked down. When the pool gives
+// up, ExecJob returns an error and the caller runs the job locally — the
+// pool never decides what a degraded run means.
 //
-// Correctness under all of this rests on content addressing, not on
-// bookkeeping: every shard job carries the campaign's CampaignKey, every
-// worker re-derives that key from its own execution of the flow, and every
-// result is digest-sealed and verified before merging (internal/fault's
-// shard machinery). Retried or duplicated shards therefore merge
-// byte-identically, and a late result from an abandoned worker is simply
-// never read — its job is cancelled best-effort and its output discarded.
-//
-// The pool plugs into a campaign as a fault.ShardPlan via Plan(); the
-// chaos knobs (ChaosConfig) kill a seeded random subset of workers after a
-// configurable number of completed shards, which is how CI proves the
-// failure story end to end.
+// Correctness rests on the jobs, not on bookkeeping: a job's result bytes
+// depend only on its spec, so a retried or reassigned job returns the same
+// bytes wherever it ran, and callers verify what they merge (rescue-sweep
+// checks every remote frontier line by content digest). A late result from
+// an abandoned worker is never read — its job is cancelled best-effort.
 package dispatch
 
 import (
@@ -35,7 +30,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"rescue/internal/fault"
 	"rescue/internal/serve"
 )
 
@@ -44,74 +38,31 @@ type Config struct {
 	// Workers is the pool: one rescued base URL each (http://host:port).
 	// Required, at least one.
 	Workers []string
-	// Flow is the job spec every worker re-executes to reach the target
-	// campaign — the coordinator's own kind and params. Required for
-	// shard dispatch (Plan/Exec); a pool used only through ExecJob may
-	// leave it empty.
-	Flow serve.Spec
-	// Shards is how many pieces each eligible campaign splits into.
-	// 0 = len(Workers).
-	Shards int
-	// MinFaults gates dispatch: smaller campaigns run locally. 0 = 64.
-	MinFaults int
-	// RetryBudget is how many times one shard may be re-dispatched after
-	// its first attempt fails. 0 = 2*len(Workers).
+	// RetryBudget is how many times one job may be re-dispatched after its
+	// first attempt fails. 0 = 2*len(Workers).
 	RetryBudget int
 	// BackoffBase/BackoffCap bound the exponential retry backoff.
 	// 0 = 100ms / 2s.
 	BackoffBase time.Duration
 	BackoffCap  time.Duration
-	// Heartbeat is the longest silence tolerated on a shard job's event
-	// stream before the worker is declared hung, the job cancelled, and
-	// the shard reassigned. 0 = 30s.
+	// Heartbeat is the longest silence tolerated on a job's event stream
+	// before the worker is declared hung, the job cancelled, and the job
+	// reassigned. 0 = 30s.
 	Heartbeat time.Duration
 	// HealthEvery is the /healthz polling period that revives recovered
 	// workers and retires unreachable ones. 0 = 500ms.
 	HealthEvery time.Duration
 	// SubmitTimeout bounds one POST /jobs round trip. 0 = 10s.
 	SubmitTimeout time.Duration
-	// Seed drives retry jitter and the chaos victim choice. Same seed,
-	// same decisions.
+	// Seed drives retry jitter. Same seed, same decisions.
 	Seed int64
-	// Tenant, when set, tags every shard job the coordinator submits
-	// (X-Rescue-Client), so worker-side per-tenant metrics attribute
-	// shard load to the originating campaign's tenant and workers
-	// schedule it under that tenant's weight. Shard bodies are NOT
-	// rewritten — the artifact/checkpoint identity is tenant-blind.
-	Tenant string
 	// Logf, when set, receives one line per dispatch event.
 	Logf func(format string, args ...any)
-	// Chaos, when armed, kills workers mid-campaign (see ChaosConfig).
-	Chaos ChaosConfig
-}
-
-// ChaosConfig is the coordinator-side fault injector: after AfterShards
-// shards have completed remotely, Kill is invoked for KillWorkers distinct
-// workers chosen by the pool's seeded RNG. The campaign must still merge
-// byte-identically — that is the contract CI pins.
-type ChaosConfig struct {
-	// KillWorkers is how many workers to kill. 0 disarms chaos.
-	KillWorkers int
-	// AfterShards is how many remote shard completions to wait for before
-	// killing. 0 = kill after the first completion.
-	AfterShards int
-	// Kill terminates worker i (an index into Config.Workers). Required
-	// when KillWorkers > 0; typically SIGKILLs a spawned child process.
-	Kill func(worker int) error
 }
 
 func (c *Config) setDefaults() error {
 	if len(c.Workers) == 0 {
 		return fmt.Errorf("dispatch: need at least one worker URL")
-	}
-	if c.Flow.Kind == "shard" {
-		return fmt.Errorf("dispatch: shard flows do not nest")
-	}
-	if c.Shards == 0 {
-		c.Shards = len(c.Workers)
-	}
-	if c.MinFaults == 0 {
-		c.MinFaults = 64
 	}
 	if c.RetryBudget == 0 {
 		c.RetryBudget = 2 * len(c.Workers)
@@ -131,22 +82,15 @@ func (c *Config) setDefaults() error {
 	if c.SubmitTimeout == 0 {
 		c.SubmitTimeout = 10 * time.Second
 	}
-	if c.Chaos.KillWorkers > 0 && c.Chaos.Kill == nil {
-		return fmt.Errorf("dispatch: chaos armed without a kill function")
-	}
 	return nil
 }
 
 // Stats is the pool's observability record.
 type Stats struct {
-	// Completed counts shards computed remotely and merged.
+	// Completed counts jobs computed remotely.
 	Completed int64
 	// Retries counts re-dispatch attempts after a failed one.
 	Retries int64
-	// Fallbacks counts shards handed back to local execution.
-	Fallbacks int64
-	// Killed counts workers the chaos injector terminated.
-	Killed int64
 }
 
 // worker is one pool member. down is advisory: the health loop and
@@ -156,8 +100,8 @@ type worker struct {
 	down atomic.Bool
 }
 
-// Pool dispatches shards to rescued workers. Create with NewPool, attach
-// to campaigns via Plan, and Close when the flow is done.
+// Pool dispatches jobs to rescued workers. Create with NewPool, run jobs
+// with ExecJob, and Close when done.
 type Pool struct {
 	cfg     Config
 	client  *http.Client
@@ -170,9 +114,6 @@ type Pool struct {
 
 	completed atomic.Int64
 	retries   atomic.Int64
-	fallbacks atomic.Int64
-	killed    atomic.Int64
-	chaosOnce sync.Once
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -197,7 +138,7 @@ func NewPool(cfg Config) (*Pool, error) {
 	return p, nil
 }
 
-// Close stops the health loop. In-flight Exec calls are unaffected.
+// Close stops the health loop. In-flight ExecJob calls are unaffected.
 func (p *Pool) Close() {
 	close(p.stop)
 	p.wg.Wait()
@@ -208,88 +149,17 @@ func (p *Pool) Stats() Stats {
 	return Stats{
 		Completed: p.completed.Load(),
 		Retries:   p.retries.Load(),
-		Fallbacks: p.fallbacks.Load(),
-		Killed:    p.killed.Load(),
 	}
 }
 
-// Plan adapts the pool to a campaign: attach the returned plan with
-// fault.WithShardPlan and every eligible campaign under that context
-// dispatches through this pool.
-func (p *Pool) Plan() *fault.ShardPlan {
-	return &fault.ShardPlan{
-		Exec:      p.Exec,
-		Shards:    p.cfg.Shards,
-		MinFaults: p.cfg.MinFaults,
-		OnFallback: func(key fault.CampaignKey, lo, hi int, err error) {
-			p.fallbacks.Add(1)
-			p.logf("shard [%d,%d): local fallback: %v", lo, hi, err)
-		},
-	}
-}
-
-// Exec computes one shard remotely, retrying across the pool under the
-// budget. The returned error means the pool gave up; the campaign then
-// simulates the range locally.
-func (p *Pool) Exec(ctx context.Context, key fault.CampaignKey, lo, hi int) (*fault.ShardResult, error) {
-	if p.cfg.Flow.Kind == "" {
-		return nil, fmt.Errorf("dispatch: pool has no flow spec; shard dispatch needs Config.Flow")
-	}
-	spec, err := serve.ShardSpec(p.cfg.Flow, key, lo, hi)
-	if err != nil {
-		return nil, err
-	}
-	body, err := json.Marshal(spec)
-	if err != nil {
-		return nil, err
-	}
-
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return nil, context.Cause(ctx)
-		}
-		w := p.pick()
-		if w == nil {
-			return nil, fmt.Errorf("dispatch: no live workers for shard [%d,%d) (last error: %v)", lo, hi, lastErr)
-		}
-		res, err := p.runShard(ctx, w, body, key, lo, hi)
-		if err == nil {
-			n := p.completed.Add(1)
-			p.maybeChaos(n)
-			return res, nil
-		}
-		lastErr = err
-		busy, retryAfter := asBusy(err)
-		if !busy {
-			// Anything else — connection refused, mid-stream EOF, heartbeat
-			// timeout, job failure — is treated as worker trouble: mark it
-			// down (the health loop revives it if /healthz answers) and move
-			// the shard to a survivor.
-			w.down.Store(true)
-			p.logf("worker %s suspected down after shard [%d,%d): %v", w.url, lo, hi, err)
-		}
-		if attempt >= p.cfg.RetryBudget {
-			return nil, fmt.Errorf("dispatch: shard [%d,%d) exhausted its retry budget (%d attempts): %w",
-				lo, hi, attempt+1, err)
-		}
-		p.retries.Add(1)
-		wait := p.backoff(attempt, retryAfter)
-		select {
-		case <-time.After(wait):
-		case <-ctx.Done():
-			return nil, context.Cause(ctx)
-		}
-	}
-}
-
-// ExecJob submits an arbitrary job spec to the pool and returns its raw
-// result bytes, under the same worker selection, retry budget, backoff,
-// and hung-worker detection as shard dispatch. It is how the sweep
-// coordinator fans grid points out: each point becomes a single-point
-// sweep job on some worker, and the caller verifies the returned frontier
-// line by content digest before merging. The returned error means the
-// pool gave up; the sweep then runs the point locally.
+// ExecJob runs one job on the pool and returns its raw result bytes. Each
+// attempt goes to the next live worker round-robin; a failed attempt marks
+// the worker down (unless it answered 429) and retries on another after a
+// backoff, until the retry budget is spent. It is how the sweep fans grid
+// points out: each point becomes a single-point sweep job on some worker,
+// and the caller verifies the returned frontier line by content digest
+// before merging. The returned error means the pool gave up; the sweep
+// then runs the point locally.
 func (p *Pool) ExecJob(ctx context.Context, spec serve.Spec) ([]byte, error) {
 	body, err := json.Marshal(spec)
 	if err != nil {
@@ -304,15 +174,18 @@ func (p *Pool) ExecJob(ctx context.Context, spec serve.Spec) ([]byte, error) {
 		if w == nil {
 			return nil, fmt.Errorf("dispatch: no live workers for %s job (last error: %v)", spec.Kind, lastErr)
 		}
-		out, err := p.runJobRaw(ctx, w, body)
+		out, err := p.runJob(ctx, w, body)
 		if err == nil {
-			n := p.completed.Add(1)
-			p.maybeChaos(n)
+			p.completed.Add(1)
 			return out, nil
 		}
 		lastErr = err
 		busy, retryAfter := asBusy(err)
 		if !busy {
+			// Anything else — connection refused, mid-stream EOF, heartbeat
+			// timeout, job failure — is treated as worker trouble: mark it
+			// down (the health loop revives it if /healthz answers) and move
+			// the job to a survivor.
 			w.down.Store(true)
 			p.logf("worker %s suspected down after %s job: %v", w.url, spec.Kind, err)
 		}
@@ -330,15 +203,18 @@ func (p *Pool) ExecJob(ctx context.Context, spec serve.Spec) ([]byte, error) {
 	}
 }
 
-// runJobRaw drives one generic job attempt on one worker: submit, watch
-// the event stream under the heartbeat watchdog, fetch the raw result.
-func (p *Pool) runJobRaw(ctx context.Context, w *worker, body []byte) ([]byte, error) {
+// runJob drives one job attempt on one worker: submit, watch the event
+// stream under the heartbeat watchdog, fetch the raw result.
+func (p *Pool) runJob(ctx context.Context, w *worker, body []byte) ([]byte, error) {
 	id, err := p.submit(ctx, w, body)
 	if err != nil {
 		return nil, err
 	}
 	state, err := p.watch(ctx, w, id)
 	if err != nil {
+		// The worker may still be computing (hung, or just slower than the
+		// heartbeat): cancel the job best-effort so a late completion burns
+		// no further cycles, and never fetch its result.
 		p.cancelJob(w, id)
 		return nil, err
 	}
@@ -416,28 +292,6 @@ func asBusy(err error) (bool, time.Duration) {
 	return false, 0
 }
 
-// runShard drives one shard attempt on one worker: submit, watch the event
-// stream under the heartbeat watchdog, fetch and decode the result.
-func (p *Pool) runShard(ctx context.Context, w *worker, body []byte, key fault.CampaignKey, lo, hi int) (*fault.ShardResult, error) {
-	id, err := p.submit(ctx, w, body)
-	if err != nil {
-		return nil, err
-	}
-	state, err := p.watch(ctx, w, id)
-	if err != nil {
-		// The worker may still be computing (hung, or just slower than the
-		// heartbeat): cancel the job best-effort so a late completion burns
-		// no further cycles, and never fetch its result — the reassigned
-		// twin's digest-verified result is the only one merged.
-		p.cancelJob(w, id)
-		return nil, err
-	}
-	if state != "succeeded" {
-		return nil, fmt.Errorf("worker %s: shard job %s ended %s", w.url, id, state)
-	}
-	return p.fetchResult(ctx, w, id, key, lo, hi)
-}
-
 func (p *Pool) submit(ctx context.Context, w *worker, body []byte) (string, error) {
 	sctx, cancel := context.WithTimeout(ctx, p.cfg.SubmitTimeout)
 	defer cancel()
@@ -446,9 +300,6 @@ func (p *Pool) submit(ctx context.Context, w *worker, body []byte) (string, erro
 		return "", err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	if p.cfg.Tenant != "" {
-		req.Header.Set("X-Rescue-Client", p.cfg.Tenant)
-	}
 	resp, err := p.client.Do(req)
 	if err != nil {
 		return "", fmt.Errorf("submit to %s: %w", w.url, err)
@@ -547,38 +398,8 @@ func (p *Pool) watch(ctx context.Context, w *worker, id string) (string, error) 
 	return state, nil
 }
 
-func (p *Pool) fetchResult(ctx context.Context, w *worker, id string, key fault.CampaignKey, lo, hi int) (*fault.ShardResult, error) {
-	rctx, cancel := context.WithTimeout(ctx, p.cfg.SubmitTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(rctx, http.MethodGet, w.url+"/jobs/"+id+"/result", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := p.client.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("result from %s: %w", w.url, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("result from %s: HTTP %d", w.url, resp.StatusCode)
-	}
-	var res fault.ShardResult
-	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
-		return nil, fmt.Errorf("result from %s: %v", w.url, err)
-	}
-	// The campaign re-verifies before merging; verifying here too lets the
-	// retry loop (not the fallback path) recover from a corrupt transfer.
-	if res.Key != key || res.Lo != lo || res.Hi != hi {
-		return nil, fmt.Errorf("result from %s: wrong shard (got key %+v [%d,%d))", w.url, res.Key, res.Lo, res.Hi)
-	}
-	if err := res.Verify(); err != nil {
-		return nil, fmt.Errorf("result from %s: %w", w.url, err)
-	}
-	return &res, nil
-}
-
 // cancelJob best-effort DELETEs an abandoned job so a hung-but-alive
-// worker stops burning cores on a shard nobody will read. A 409 means the
+// worker stops burning cores on a job nobody will read. A 409 means the
 // job finished in the race window — fine either way; its result stays
 // unread.
 func (p *Pool) cancelJob(w *worker, id string) {
@@ -631,41 +452,6 @@ func (p *Pool) healthy(w *worker) bool {
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	return resp.StatusCode == http.StatusOK
-}
-
-// maybeChaos fires the chaos injector once the completed-shard count
-// crosses the configured threshold: kill KillWorkers distinct workers,
-// chosen by the pool's seeded RNG.
-func (p *Pool) maybeChaos(completed int64) {
-	c := p.cfg.Chaos
-	if c.KillWorkers <= 0 {
-		return
-	}
-	after := int64(c.AfterShards)
-	if after < 1 {
-		after = 1
-	}
-	if completed < after {
-		return
-	}
-	p.chaosOnce.Do(func() {
-		n := len(p.workers)
-		k := c.KillWorkers
-		if k > n {
-			k = n
-		}
-		p.rngMu.Lock()
-		victims := p.rng.Perm(n)[:k]
-		p.rngMu.Unlock()
-		for _, v := range victims {
-			p.logf("chaos: killing worker %d (%s)", v, p.workers[v].url)
-			if err := c.Kill(v); err != nil {
-				p.logf("chaos: kill worker %d: %v", v, err)
-				continue
-			}
-			p.killed.Add(1)
-		}
-	})
 }
 
 func (p *Pool) logf(format string, args ...any) {

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"math/rand"
 	"net"
 	"net/http"
@@ -538,36 +537,5 @@ func TestDispatchExecJobSweep(t *testing.T) {
 	}
 	if st := p.Stats(); st.Completed != 2 {
 		t.Fatalf("completed %d jobs remotely, want 2", st.Completed)
-	}
-}
-
-// TestDispatchTenantTag: the pool's tenant tag rides every submission as
-// X-Rescue-Client, so worker-side per-tenant metrics attribute the load to
-// the originating tenant — and the output is still byte-identical.
-func TestDispatchTenantTag(t *testing.T) {
-	const jobs = 2
-	want := localGolden(t, jobs)
-	w := newWorker(t)
-	p, err := dispatch.NewPool(dispatch.Config{
-		Workers: workerURLs(w),
-		Seed:    7,
-		Tenant:  "campaign-a",
-		Logf:    t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	if got, _ := fanOut(t, p, jobs, nil); !bytes.Equal(got, want) {
-		t.Fatal("tenant-tagged dispatch changed the output")
-	}
-	resp, err := http.Get(w.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	b, _ := io.ReadAll(resp.Body)
-	if !strings.Contains(string(b), "tenant_campaign_a_admitted_total 2") {
-		t.Fatalf("worker metrics do not attribute jobs to the tenant:\n%s", b)
 	}
 }

@@ -124,7 +124,7 @@ type CampaignConfig struct {
 	Progress ProgressFunc
 }
 
-// Campaign shards a fault list across workers that share one read-only
+// Campaign splits a fault list across workers that share one read-only
 // simCore (good-machine images, cones, SoA gate arrays, obs map) while
 // each owns a private simScratch, so no synchronization touches the hot
 // loop. Results are always ordered by fault index and bit-identical to
@@ -205,28 +205,14 @@ func (c *Campaign) run(ctx context.Context, ck *Checkpoint, faults []netlist.Fau
 	total := int64(len(faults))
 	var progressDone atomic.Int64
 
-	// The campaign's content identity, needed by the checkpoint journal and
-	// by the shard machinery; skipped entirely (it walks the fault list and
-	// pattern window) when neither is in play.
-	tgt := shardTargetFrom(ctx)
-	plan := shardPlanFrom(ctx)
-	var id CampaignKey
-	if ck != nil || tgt != nil || plan != nil {
-		id = campaignIdentity(c.core, faults, wLo, wHi, c.cfg)
-	}
-
-	// Shard-worker path: this campaign is the one a coordinator assigned a
-	// window of. Simulate only that window and stop the flow.
-	if tgt != nil && tgt.claim(id) {
-		return c.runWindow(ctx, tgt.res, faults, wLo, wHi, progress, start)
-	}
-
-	// Bind the next journal section and rehydrate completed chunks.
+	// Bind the next journal section, keyed by the campaign's content
+	// identity, and rehydrate completed chunks. The identity walks the
+	// fault list and pattern window, so it is computed only here.
 	var sec *ckSection
 	var done []bool
 	if ck != nil {
 		var err error
-		sec, err = ck.section(id)
+		sec, err = ck.section(campaignIdentity(c.core, faults, wLo, wHi, c.cfg))
 		if err != nil {
 			return nil, st, err
 		}
@@ -248,22 +234,6 @@ func (c *Campaign) run(ctx context.Context, ck *Checkpoint, faults []netlist.Fau
 
 	scrs := c.core.acquireScratch(workers)
 	defer c.core.releaseScratch(scrs)
-	// Coordinator path: fan this campaign's pending ranges out to remote
-	// workers first. Shards that fail to dispatch stay pending and the
-	// local worker pool below picks them up — local fallback is the default
-	// code path, not a special case.
-	if plan.eligible(len(faults), wLo, wHi, len(c.core.Patterns)) {
-		done = c.dispatchShards(ctx, plan, id, out, sec, done, progress, &progressDone, total, &st)
-		if err := ctx.Err(); err != nil {
-			if ck != nil {
-				if ferr := ck.Flush(); ferr != nil {
-					return out, st, ferr
-				}
-			}
-			return out, st, context.Cause(ctx)
-		}
-	}
-
 	q := newChunkQueue(len(faults), workers, c.cfg.Chunk)
 	perWorker := make([]Stats, workers)
 
@@ -353,104 +323,6 @@ func (c *Campaign) run(ctx context.Context, ck *Checkpoint, faults []netlist.Fau
 		}
 	}
 	return out, st, err
-}
-
-// runWindow is the shard-worker execution path entered from run when a
-// WithShardTarget assignment claims this campaign: simulate only fault
-// indices [res.Lo, res.Hi), seal them into the collector, and return
-// ErrShardDone so the surrounding flow stops instead of computing work the
-// coordinator never asked for. The window runs on the same scratch pool
-// and chunk queue as a full campaign, so its results are bit-identical to
-// the same indices of a local run at any worker count. Shard windows are
-// not journaled: a failed shard is retried wholesale, and idempotence
-// comes from the content digest, not from resume.
-func (c *Campaign) runWindow(ctx context.Context, res *ShardResult, faults []netlist.Fault,
-	wLo, wHi int, progress ProgressFunc, start time.Time) ([]Result, Stats, error) {
-
-	lo, hi := res.Lo, res.Hi
-	var st Stats
-	if lo < 0 || hi <= lo || hi > len(faults) {
-		return nil, st, fmt.Errorf("fault: shard window [%d,%d) out of range for %d faults", lo, hi, len(faults))
-	}
-	n := hi - lo
-	out := make([]Result, len(faults))
-	workers := c.cfg.Workers
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	st.Workers = workers
-	total := int64(n)
-	var progressDone atomic.Int64
-
-	if err := ctx.Err(); err != nil {
-		return out, st, context.Cause(ctx)
-	}
-	scrs := c.core.acquireScratch(workers)
-	defer c.core.releaseScratch(scrs)
-	q := newChunkQueue(n, workers, c.cfg.Chunk)
-	perWorker := make([]Stats, workers)
-
-	runCtx, cancel := context.WithCancelCause(ctx)
-	defer cancel(nil)
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			cur := -1
-			defer func() {
-				if r := recover(); r != nil {
-					cancel(&PanicError{FaultIndex: cur, Value: r, Stack: debug.Stack()})
-				}
-			}()
-			scr := scrs[w]
-			wst := &perWorker[w]
-			words0, events0 := scr.words, scr.events
-			for {
-				if runCtx.Err() != nil {
-					break
-				}
-				if chaosTripped() {
-					cancel(ErrChaosCancel)
-					break
-				}
-				wlo, whi, ok := q.next(w)
-				if !ok {
-					break
-				}
-				c.simChunk(scr, faults, out, nil, lo+wlo, lo+whi, wLo, wHi, wst, &cur)
-				if progress != nil {
-					progress(progressDone.Add(int64(whi-wlo)), total)
-				}
-			}
-			wst.Words = scr.words - words0
-			wst.Events = scr.events - events0
-		}(w)
-	}
-	wg.Wait()
-
-	for i := range perWorker {
-		st.Faults += perWorker[i].Faults
-		st.Detected += perWorker[i].Detected
-		st.Dropped += perWorker[i].Dropped
-		st.Words += perWorker[i].Words
-		st.Events += perWorker[i].Events
-	}
-	st.Wall = time.Since(start)
-
-	if err := context.Cause(runCtx); err != nil {
-		// A cancelled or panicking window is a real failure, never
-		// ErrShardDone: the coordinator must not merge a partial shard.
-		return out, st, err
-	}
-	res.Results = append([]Result(nil), out[lo:hi]...)
-	res.Stats = st
-	res.seal()
-	return out, st, ErrShardDone
 }
 
 // tileState carries one fault's accumulated result across the word tiles

@@ -39,12 +39,6 @@ import (
 // section recorded by one can be rehydrated by the other. Any mismatch
 // (different seed, design, pattern set, worker-independent config) is
 // detected and refused instead of silently resuming the wrong work.
-//
-// The key is also the unit of distribution: a shard job names the campaign
-// it computes a window of by CampaignKey, and the coordinator accepts a
-// shard result only when the worker derived the same key from its own
-// re-execution of the flow — content addressing doubling as an end-to-end
-// integrity check (see shard.go).
 type CampaignKey struct {
 	NFaults        int    `json:"nFaults"`
 	FaultsDigest   string `json:"faultsDigest"`

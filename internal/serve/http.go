@@ -198,7 +198,7 @@ func (s *Server) handleResult(w http.ResponseWriter, j *Job) {
 // quiet stretches — a job waiting in the queue, a flow building artifacts
 // before its first campaign — would otherwise be indistinguishable from a
 // dead server to a streaming client with a liveness timeout, such as the
-// dispatch coordinator's heartbeat watchdog.
+// dispatch pool's heartbeat watchdog.
 const keepaliveEvery = 10 * time.Second
 
 // handleEvents streams the job's event log as NDJSON: everything still

@@ -54,12 +54,8 @@ func pick(jobWorkers, serverWorkers int) int {
 // Kinds returns the built-in job kinds. Reports default to timing-free
 // output (the deterministic, golden-diffable form); a job may opt into
 // timings with "timing": true.
-//
-// The "shard" kind computes one fault-index window of another kind's
-// campaign (see shard.go); it resolves the inner flow against this same
-// registry, so kinds added to the returned map are shardable too.
 func Kinds() map[string]Runner {
-	m := map[string]Runner{
+	return map[string]Runner{
 		"table3":    runTable3,
 		"dict":      runDict,
 		"isolation": runIsolation,
@@ -67,8 +63,6 @@ func Kinds() map[string]Runner {
 		"fab":       runFab,
 		"sweep":     runSweep,
 	}
-	m["shard"] = shardRunner(m)
-	return m
 }
 
 type table3Params struct {

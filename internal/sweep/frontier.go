@@ -11,7 +11,7 @@ import (
 
 // PointResult is one evaluated grid cell. Every numeric field derives
 // deterministically from the point's content, so a result computed
-// locally, resumed from a journal, or fetched from a shard worker
+// locally, resumed from a journal, or fetched from a remote worker
 // serializes to identical bytes.
 type PointResult struct {
 	Index         int               `json:"index"`

@@ -92,7 +92,7 @@ type PointEvent struct {
 	Total  int
 	Digest string
 	// Phase: "start", "done", "cached" (journal hit), "remote" (executed
-	// on a shard worker), "fallback" (remote failed, ran locally),
+	// on a remote worker), "fallback" (remote failed, ran locally),
 	// "canceled", "failed".
 	Phase string
 	Msg   string

@@ -15,7 +15,7 @@ import (
 // (node, defect-density stagnation node, self-heal spare share) to
 // evaluate each variant at. A Spec expands deterministically — same spec,
 // same point order, same digests — which is what makes the frontier
-// byte-identical across concurrency levels, resumes, and shard workers.
+// byte-identical across concurrency levels, resumes, and remote workers.
 type Spec struct {
 	Presets []string `json:"presets"`
 	// Axes maps an override key (see axisKeys) to the values to cross.
@@ -276,7 +276,7 @@ func (s Spec) Expand() ([]Point, error) {
 }
 
 // SinglePointSpec builds the one-cell spec that expands to exactly pt
-// (with Index 0 and an identical Digest) — the unit a shard worker
+// (with Index 0 and an identical Digest) — the unit a remote worker
 // executes when points are dispatched remotely.
 func SinglePointSpec(s Spec, pt Point) Spec {
 	s = s.withDefaults()
