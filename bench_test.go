@@ -63,7 +63,10 @@ func table3Rows(b *testing.B) map[rescue.Variant]rescue.ScanSummary {
 		if err != nil {
 			b.Fatal(err)
 		}
-		tp := sys.GenerateTests(rescue.DefaultGenConfig())
+		tp, err := sys.GenerateTestsFlow(context.Background(), rescue.DefaultGenConfig(), nil)
+		if err != nil {
+			b.Fatal(err)
+		}
 		table3[v] = sys.Summary(tp)
 	}
 	return table3
@@ -98,11 +101,18 @@ func BenchmarkFaultIsolation6000(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	tp := sys.GenerateTests(rescue.DefaultGenConfig())
+	ctx := context.Background()
+	tp, err := sys.GenerateTestsFlow(ctx, rescue.DefaultGenConfig(), nil)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	var rep rescue.IsolationReport
 	for i := 0; i < b.N; i++ {
-		rep = sys.IsolateCampaign(tp, 100, rescue.Stages(), int64(i)+1, 0)
+		rep, err = sys.IsolateCampaignFlow(ctx, tp, 100, rescue.Stages(), int64(i)+1, 0, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
 	}
 	total := rep.Isolated + rep.Wrong + rep.Ambiguous
 	b.ReportMetric(float64(rep.Isolated), "isolated")
@@ -122,7 +132,7 @@ func BenchmarkFigure8IPC(b *testing.B) {
 	var rows []rescue.IPCRow
 	var err error
 	for i := 0; i < b.N; i++ {
-		rows, err = rescue.IPCStudy(names, 10_000, 60_000)
+		rows, err = rescue.IPCStudy(context.Background(), names, 10_000, 60_000)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -145,7 +155,7 @@ func BenchmarkFigure9YAT(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		models := map[int]*rescue.PerfModel{}
 		for _, node := range rescue.Nodes() {
-			pm, err := rescue.BuildPerfModel(node, names, 2_000, 20_000)
+			pm, err := rescue.BuildPerfModel(context.Background(), node, names, 2_000, 20_000)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -321,7 +331,10 @@ func BenchmarkFaultSimulation(b *testing.B) {
 	}
 	c, _ := scan.Insert(d.N, 1)
 	u := fault.NewUniverse(d.N)
-	g := atpg.Generate(c, u, atpg.DefaultGenConfig())
+	g, err := atpg.GenerateFlow(context.Background(), c, u, atpg.DefaultGenConfig(), nil)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -347,7 +360,10 @@ func campaignSetup(b *testing.B) (*fault.Sim, *fault.Universe) {
 		}
 		c, _ := scan.Insert(d.N, 1)
 		u := fault.NewUniverse(d.N)
-		g := atpg.Generate(c, u, atpg.DefaultGenConfig())
+		g, err := atpg.GenerateFlow(context.Background(), c, u, atpg.DefaultGenConfig(), nil)
+		if err != nil {
+			b.Fatal(err)
+		}
 		campaignFixture.sim = g.Sim
 		campaignFixture.fullSim = fault.NewSimCone(c, g.Sim.Patterns, 0)
 		campaignFixture.u = u
@@ -415,14 +431,14 @@ func BenchmarkFaultCampaign(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
-			cfg := fault.CampaignConfig{Workers: 2, Drop: true}
+			ctx := context.Background()
 			var last int64
 			if hooked {
-				cfg.Progress = func(done, total int64) { atomic.StoreInt64(&last, done) }
+				ctx = fault.WithProgress(ctx, func(done, total int64) { atomic.StoreInt64(&last, done) })
 			}
-			camp := fault.NewCampaign(sim, cfg)
+			camp := fault.NewCampaign(sim, fault.CampaignConfig{Workers: 2, Drop: true})
 			for i := 0; i < b.N; i++ {
-				if _, _, err := camp.Run(context.Background(), faults); err != nil {
+				if _, _, err := camp.Run(ctx, faults); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -448,16 +464,27 @@ func BenchmarkPodem(b *testing.B) {
 	}
 }
 
-// BenchmarkUarchCycles measures simulated instructions per second.
+// BenchmarkUarchCycles measures simulated instructions per second. Each
+// iteration commits a fixed 200k instructions of gzip on a fresh Rescue
+// simulator, so -benchtime=Nx times N whole runs; construction is not
+// timed.
 func BenchmarkUarchCycles(b *testing.B) {
-	prof, _ := workload.ByName("gzip")
-	s, err := uarch.New(uarch.RescueParams(), prof)
+	const instr = 200_000
+	prof, err := workload.ByName("gzip")
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ResetTimer()
-	st := s.Run(0, int64(b.N))
-	_ = st
+	var committed int64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		s, err := uarch.New(uarch.RescueParams(), prof)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		committed += s.Run(0, instr).Committed
+	}
+	b.ReportMetric(float64(committed)/b.Elapsed().Seconds()/1e6, "Minstr/s")
 }
 
 // BenchmarkNetlistEval measures 64-lane full-netlist evaluation.

@@ -117,11 +117,6 @@ type CampaignConfig struct {
 	Drop bool
 	// Chunk is the dispatch batch size; <= 0 picks one from the fault count.
 	Chunk int
-	// Progress, when non-nil, is called once per completed chunk with the
-	// cumulative (done, total) fault counts — see ProgressFunc. It combines
-	// with any hook installed via WithProgress on the run's context. Unset
-	// on both paths, the hot loop pays only a nil check.
-	Progress ProgressFunc
 }
 
 // Campaign splits a fault list across workers that share one read-only
@@ -201,7 +196,9 @@ func (c *Campaign) run(ctx context.Context, ck *Checkpoint, faults []netlist.Fau
 	var st Stats
 	st.Workers = workers
 
-	progress := combineProgress(c.cfg.Progress, ProgressFromContext(ctx))
+	// The WithProgress hook, if any; unset, the hot loop pays only a nil
+	// check.
+	progress := ProgressFromContext(ctx)
 	total := int64(len(faults))
 	var progressDone atomic.Int64
 

@@ -335,9 +335,9 @@ func TestChunkQueueCoversAll(t *testing.T) {
 // identical at every worker count.
 func TestDictionaryWorkersDeterminism(t *testing.T) {
 	sim, u := rescueSim(t, 4, 11)
-	ref := BuildDictionary(sim, u)
+	ref, _ := buildDict(t, sim, u, 0)
 	for _, w := range []int{1, 2, 8} {
-		d, st := BuildDictionaryWorkers(sim, u, w)
+		d, st := buildDict(t, sim, u, w)
 		if !reflect.DeepEqual(d.Syndromes, ref.Syndromes) {
 			t.Fatalf("workers=%d: dictionary differs from reference", w)
 		}

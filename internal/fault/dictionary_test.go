@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -19,9 +20,19 @@ func dictFixture(t *testing.T) (*Sim, *Universe) {
 	return NewSim(c, pats), NewUniverse(n)
 }
 
+// buildDict runs BuildDictionaryFlow without cancellation or checkpoint.
+func buildDict(t testing.TB, sim *Sim, u *Universe, workers int) (*Dictionary, Stats) {
+	t.Helper()
+	d, st, err := BuildDictionaryFlow(context.Background(), sim, u, workers, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d, st
+}
+
 func TestBuildDictionary(t *testing.T) {
 	sim, u := dictFixture(t)
-	d := BuildDictionary(sim, u)
+	d, _ := buildDict(t, sim, u, 0)
 	if len(d.Syndromes) != u.CountCollapsed() {
 		t.Fatalf("syndromes = %d, want %d", len(d.Syndromes), u.CountCollapsed())
 	}
@@ -39,7 +50,7 @@ func TestBuildDictionary(t *testing.T) {
 
 func TestDictionaryLookup(t *testing.T) {
 	sim, u := dictFixture(t)
-	d := BuildDictionary(sim, u)
+	d, _ := buildDict(t, sim, u, 0)
 	// the true fault must always be among the diagnosis candidates
 	for i := range u.Collapsed {
 		if len(d.Syndromes[i]) == 0 {
@@ -64,7 +75,7 @@ func TestDictionaryLookup(t *testing.T) {
 
 func TestDictionaryCSVRoundTrip(t *testing.T) {
 	sim, u := dictFixture(t)
-	d := BuildDictionary(sim, u)
+	d, _ := buildDict(t, sim, u, 0)
 	var sb strings.Builder
 	if err := d.WriteCSV(&sb); err != nil {
 		t.Fatal(err)

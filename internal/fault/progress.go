@@ -11,8 +11,9 @@ type ProgressFunc func(done, total int64)
 
 type progressKey struct{}
 
-// WithProgress attaches a progress hook to ctx. Every campaign run under
-// this context reports into the hook, which is how long multi-campaign
+// WithProgress attaches a progress hook to ctx — the one way to observe a
+// campaign's progress. Every campaign run under this context reports into
+// the hook, which is how long multi-campaign
 // flows (ATPG generation, dictionary builds, isolation sweeps, fab fleets)
 // expose live percent-complete without widening any flow signature: the
 // CLIs attach a stderr printer, the serving daemon attaches the job's
@@ -30,21 +31,4 @@ func WithProgress(ctx context.Context, fn ProgressFunc) context.Context {
 func ProgressFromContext(ctx context.Context) ProgressFunc {
 	fn, _ := ctx.Value(progressKey{}).(ProgressFunc)
 	return fn
-}
-
-// combineProgress merges the config-level and context-level hooks. The
-// result is nil when both are unset, so the campaign hot loop keeps its
-// zero-overhead nil guard.
-func combineProgress(a, b ProgressFunc) ProgressFunc {
-	switch {
-	case a == nil:
-		return b
-	case b == nil:
-		return a
-	default:
-		return func(done, total int64) {
-			a(done, total)
-			b(done, total)
-		}
-	}
 }
