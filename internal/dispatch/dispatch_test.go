@@ -19,6 +19,7 @@ import (
 	"rescue/internal/dispatch"
 	"rescue/internal/fault"
 	"rescue/internal/flows"
+	"rescue/internal/netlist"
 	"rescue/internal/rtl"
 	"rescue/internal/scan"
 	"rescue/internal/serve"
@@ -31,6 +32,26 @@ type miniParams struct {
 	Seed int64 `json:"seed"`
 }
 
+// miniDesign is the read-only netlist every mini job simulates, built once
+// and shared by the in-process workers and the local reference runs, so a
+// job's cost is its campaign alone.
+var miniDesign = sync.OnceValues(func() (miniFixture, error) {
+	d, err := rtl.Build(rtl.Small(), rtl.RescueDesign)
+	if err != nil {
+		return miniFixture{}, err
+	}
+	c, err := scan.Insert(d.N, 1)
+	if err != nil {
+		return miniFixture{}, err
+	}
+	return miniFixture{chain: c, faults: fault.NewUniverse(d.N).Collapsed[:200]}, nil
+})
+
+type miniFixture struct {
+	chain  *scan.Chain
+	faults []netlist.Fault
+}
+
 // miniFlow is the test job kind: one small deterministic fault campaign
 // rendered as a text report. The same params give the same bytes on any
 // worker or locally, which is what makes a remote result checkable.
@@ -41,14 +62,11 @@ func miniFlow(ctx context.Context, rc serve.RunContext, params json.RawMessage) 
 			return nil, err
 		}
 	}
-	d, err := rtl.Build(rtl.Small(), rtl.RescueDesign)
+	fx, err := miniDesign()
 	if err != nil {
 		return nil, err
 	}
-	c, err := scan.Insert(d.N, 1)
-	if err != nil {
-		return nil, err
-	}
+	c := fx.chain
 	r := rand.New(rand.NewSource(61 + p.Seed))
 	var pats []*scan.Pattern
 	for w := 0; w < 2; w++ {
@@ -62,9 +80,8 @@ func miniFlow(ctx context.Context, rc serve.RunContext, params json.RawMessage) 
 		pats = append(pats, pat)
 	}
 	sim := fault.NewSim(c, pats)
-	faults := fault.NewUniverse(d.N).Collapsed[:200]
 	camp := fault.NewCampaign(sim, fault.CampaignConfig{Workers: 2})
-	res, st, err := camp.Run(ctx, faults)
+	res, st, err := camp.Run(ctx, fx.faults)
 	if err != nil {
 		return nil, err
 	}
@@ -158,8 +175,11 @@ func TestDispatchDeterminism(t *testing.T) {
 	want := localGolden(t, jobs)
 	p, err := dispatch.NewPool(dispatch.Config{
 		Workers: workerURLs(newWorker(t), newWorker(t), newWorker(t)),
-		Seed:    42,
-		Logf:    t.Logf,
+		// No health polling: a /healthz answered late on a loaded machine
+		// would retire a live worker and force a fallback.
+		HealthEvery: time.Hour,
+		Seed:        42,
+		Logf:        t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -193,7 +213,9 @@ func TestDispatchChaosKill(t *testing.T) {
 		Seed:        7,
 		BackoffBase: 5 * time.Millisecond,
 		BackoffCap:  50 * time.Millisecond,
-		HealthEvery: 50 * time.Millisecond,
+		// No health polling: the failed attempts alone must retire the
+		// killed worker, and a slow /healthz must not retire a survivor.
+		HealthEvery: time.Hour,
 		Logf:        t.Logf,
 	})
 	if err != nil {
@@ -327,8 +349,10 @@ func TestDispatchHungWorker(t *testing.T) {
 	live := newWorker(t)
 
 	p, err := dispatch.NewPool(dispatch.Config{
-		Workers:     []string{hung.ts.URL, live.URL},
-		Heartbeat:   150 * time.Millisecond,
+		Workers: []string{hung.ts.URL, live.URL},
+		// Long enough that a live worker's queued job never trips it,
+		// even under the race detector.
+		Heartbeat:   time.Second,
 		BackoffBase: time.Millisecond,
 		BackoffCap:  10 * time.Millisecond,
 		HealthEvery: time.Hour, // the hung worker reports healthy; don't revive it after the watchdog fires
