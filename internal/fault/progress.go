@@ -13,11 +13,11 @@ type progressKey struct{}
 
 // WithProgress attaches a progress hook to ctx — the one way to observe a
 // campaign's progress. Every campaign run under this context reports into
-// the hook, which is how long multi-campaign
-// flows (ATPG generation, dictionary builds, isolation sweeps, fab fleets)
-// expose live percent-complete without widening any flow signature: the
-// CLIs attach a stderr printer, the serving daemon attaches the job's
-// event publisher. A nil fn returns ctx unchanged.
+// the hook, which is how long multi-campaign flows (ATPG generation,
+// dictionary builds, isolation sweeps, fab fleets) expose live
+// percent-complete without widening any flow signature: the CLIs attach a
+// stderr printer, the serving daemon attaches the job's event publisher.
+// A nil fn returns ctx unchanged.
 func WithProgress(ctx context.Context, fn ProgressFunc) context.Context {
 	if fn == nil {
 		return ctx
