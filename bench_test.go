@@ -450,20 +450,6 @@ func BenchmarkFaultCampaign(b *testing.B) {
 	}
 }
 
-// BenchmarkPodem measures deterministic test generation per fault.
-func BenchmarkPodem(b *testing.B) {
-	d, err := rtl.Build(rtl.Small(), rtl.RescueDesign)
-	if err != nil {
-		b.Fatal(err)
-	}
-	u := fault.NewUniverse(d.N)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f := u.Collapsed[i%len(u.Collapsed)]
-		atpg.Podem(d.N, f, 100)
-	}
-}
-
 // BenchmarkUarchCycles measures simulated instructions per second. Each
 // iteration commits a fixed 200k instructions of gzip on a fresh Rescue
 // simulator, so -benchtime=Nx times N whole runs; construction is not

@@ -62,101 +62,9 @@ type GenResult struct {
 // far) is returned alongside the error.
 func GenerateFlow(ctx context.Context, c *scan.Chain, u *fault.Universe, cfg GenConfig, ck *fault.Checkpoint) (*GenResult, error) {
 	defer obs.Span(ctx, "atpg_generate")()
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	sim := fault.NewSim(c, nil)
-	n := c.N
-
-	remaining := make([]bool, u.CountCollapsed())
-	for i := range remaining {
-		remaining[i] = true
-	}
-	nRemaining := len(remaining)
-	detected := 0
-	vectors := 0
-	untestable, aborted := 0, 0
-
-	// One campaign serves every dropWord pass, so per-worker scratch state
-	// is allocated once. MaxFail=1: detection-only, the coverage loop never
-	// needs more than the first failing bit.
-	camp := fault.NewCampaign(sim, fault.CampaignConfig{Workers: cfg.Workers, MaxFail: 1})
-	var campStats fault.Stats
-
-	// partial assembles the result from whatever the flow has finished —
-	// the complete answer on success, the progress record on interrupt.
-	partial := func() *GenResult {
-		res := &GenResult{
-			Sim:        sim,
-			Vectors:    vectors,
-			Faults:     u.CountAll(),
-			Collapsed:  u.CountCollapsed(),
-			Detected:   detected,
-			Untestable: untestable,
-			Aborted:    aborted,
-			ScanCells:  c.Cells(),
-			Cycles:     c.TestCycles(vectors),
-			Stats:      campStats,
-		}
-		if d := u.CountCollapsed() - untestable; d > 0 {
-			res.Coverage = float64(detected) / float64(d)
-		}
-		return res
-	}
-
-	aliveIdx := make([]int, 0, nRemaining)
-	aliveFaults := make([]netlist.Fault, 0, nRemaining)
-
-	dropWord := func(w int) (int, error) {
-		aliveIdx = aliveIdx[:0]
-		aliveFaults = aliveFaults[:0]
-		for i, alive := range remaining {
-			if !alive {
-				continue
-			}
-			aliveIdx = append(aliveIdx, i)
-			aliveFaults = append(aliveFaults, u.Collapsed[i])
-		}
-		results, st, err := camp.RunWordsCheckpoint(ctx, ck, aliveFaults, w, w+1)
-		campStats.Add(st)
-		if err != nil {
-			return 0, err
-		}
-		dropped := 0
-		for k, res := range results {
-			if res.Detected {
-				remaining[aliveIdx[k]] = false
-				nRemaining--
-				detected++
-				dropped++
-			}
-		}
-		return dropped, nil
-	}
-
-	randomWord := func() *scan.Pattern {
-		p := c.NewPattern(64)
-		for i := range p.FFVals {
-			p.FFVals[i] = rng.Uint64()
-		}
-		for i := range p.PIVals {
-			p.PIVals[i] = rng.Uint64()
-		}
-		return p
-	}
-
-	// Phase 1: random patterns with fault dropping.
-	useless := 0
-	for w := 0; w < cfg.MaxRandomWords && nRemaining > 0 && useless < cfg.UselessLimit; w++ {
-		sim.AddPattern(randomWord())
-		vectors += 64
-		d, err := dropWord(len(sim.Patterns) - 1)
-		if err != nil {
-			return partial(), err
-		}
-		if d == 0 {
-			useless++
-		} else {
-			useless = 0
-		}
+	g := newGenFlow(c, u, cfg, ck)
+	if err := g.randomPhase(ctx); err != nil {
+		return g.result(), err
 	}
 
 	// Phase 2: PODEM for survivors, packing cubes 64 to a word with random
@@ -168,32 +76,31 @@ func GenerateFlow(ctx context.Context, c *scan.Chain, u *fault.Universe, cfg Gen
 			return nil
 		}
 		cur.Lanes = curLanes
-		sim.AddPattern(cur)
-		vectors += curLanes
-		_, err := dropWord(len(sim.Patterns) - 1)
+		g.sim.AddPattern(cur)
+		g.vectors += curLanes
+		_, err := g.dropWord(ctx, len(g.sim.Patterns)-1)
 		cur, curLanes = nil, 0
 		return err
 	}
-	xfill := func() uint64 { return rng.Uint64() }
-	for i := range remaining {
-		if !remaining[i] {
+	xfill := func() uint64 { return g.rng.Uint64() }
+	for i := range g.remaining {
+		if !g.remaining[i] {
 			continue
 		}
 		// PODEM runs are serial CPU work outside the campaign engine; check
 		// for cancellation between faults so a Ctrl-C lands promptly here
 		// too.
 		if err := ctx.Err(); err != nil {
-			return partial(), context.Cause(ctx)
+			return g.result(), context.Cause(ctx)
 		}
-		cube, res := Podem(n, u.Collapsed[i], cfg.MaxBacktracks)
+		cube, res := Podem(c.N, u.Collapsed[i], cfg.MaxBacktracks)
 		switch res {
 		case Untestable:
-			remaining[i] = false
-			nRemaining--
-			untestable++
+			g.drop(i)
+			g.untestable++
 			continue
 		case Aborted:
-			aborted++
+			g.aborted++
 			continue
 		}
 		if cur == nil {
@@ -203,84 +110,146 @@ func GenerateFlow(ctx context.Context, c *scan.Chain, u *fault.Universe, cfg Gen
 		curLanes++
 		if curLanes == 64 {
 			if err := flush(); err != nil {
-				return partial(), err
+				return g.result(), err
 			}
-			if !remaining[i] {
+			if !g.remaining[i] {
 				// the cube's own word should have detected it; if random
 				// fill masked it (can't for a true PODEM test), it stays
 				// remaining and is counted aborted below
 				continue
 			}
-			// self-detection is guaranteed by PODEM; mark defensively
-			remaining[i] = false
-			nRemaining--
-			detected++
-		} else {
-			remaining[i] = false
-			nRemaining--
-			detected++
 		}
+		// self-detection is guaranteed by PODEM; mark defensively
+		g.drop(i)
+		g.detected++
 	}
 	if err := flush(); err != nil {
-		return partial(), err
+		return g.result(), err
 	}
-	return partial(), nil
+	return g.result(), nil
 }
 
-// CompactReverseContext performs reverse-order static compaction: vectors
-// are dropped greedily (newest first) when the remaining set still detects
-// every originally-detected fault. It returns the compacted vector count.
-// The paper's vector counts come from a commercial tool with compaction;
-// this pass approximates it. Each trial detection sweep is a parallel
-// campaign with fault dropping (detection-only, workers <= 0 = all cores)
-// that aborts at chunk granularity when ctx is cancelled; the error then
-// carries the cancellation cause.
-func CompactReverseContext(ctx context.Context, c *scan.Chain, u *fault.Universe, g *GenResult, workers int) (int, error) {
-	// Build per-vector detection sets lazily is expensive; approximate by
-	// word granularity: try dropping whole 64-lane words from the end.
-	kept := make([]bool, len(g.Sim.Patterns))
-	for i := range kept {
-		kept[i] = true
+// genFlow is the state GenerateFlow's two phases share.
+type genFlow struct {
+	c   *scan.Chain
+	u   *fault.Universe
+	cfg GenConfig
+	ck  *fault.Checkpoint
+	rng *rand.Rand
+	sim *fault.Sim
+	// One campaign serves every dropWord pass, so per-worker scratch state
+	// is allocated once. MaxFail=1: detection-only, the coverage loop never
+	// needs more than the first failing bit.
+	camp      *fault.Campaign
+	campStats fault.Stats
+
+	remaining  []bool // per collapsed fault: not yet detected or classified
+	nRemaining int
+	detected   int
+	untestable int
+	aborted    int
+	vectors    int
+
+	aliveIdx    []int
+	aliveFaults []netlist.Fault
+}
+
+func newGenFlow(c *scan.Chain, u *fault.Universe, cfg GenConfig, ck *fault.Checkpoint) *genFlow {
+	sim := fault.NewSim(c, nil)
+	g := &genFlow{
+		c: c, u: u, cfg: cfg, ck: ck,
+		rng:        rand.New(rand.NewSource(cfg.Seed)),
+		sim:        sim,
+		camp:       fault.NewCampaign(sim, fault.CampaignConfig{Workers: cfg.Workers, MaxFail: 1}),
+		remaining:  make([]bool, u.CountCollapsed()),
+		nRemaining: u.CountCollapsed(),
 	}
-	detectedBy := func(words []bool) (int, error) {
-		sim := fault.NewSim(c, nil)
-		for w, k := range words {
-			if k {
-				sim.AddPattern(g.Sim.Patterns[w])
-			}
-		}
-		camp := fault.NewCampaign(sim, fault.CampaignConfig{Workers: workers, Drop: true})
-		results, _, err := camp.Run(ctx, u.Collapsed)
-		if err != nil {
-			return 0, err
-		}
-		n := 0
-		for _, res := range results {
-			if res.Detected {
-				n++
-			}
-		}
-		return n, nil
+	for i := range g.remaining {
+		g.remaining[i] = true
 	}
-	full, err := detectedBy(kept)
+	return g
+}
+
+// drop retires collapsed fault i from the remaining set.
+func (g *genFlow) drop(i int) {
+	g.remaining[i] = false
+	g.nRemaining--
+}
+
+// dropWord fault-simulates every remaining fault against pattern word w
+// and drops the detected ones, returning how many it dropped.
+func (g *genFlow) dropWord(ctx context.Context, w int) (int, error) {
+	g.aliveIdx = g.aliveIdx[:0]
+	g.aliveFaults = g.aliveFaults[:0]
+	for i, alive := range g.remaining {
+		if !alive {
+			continue
+		}
+		g.aliveIdx = append(g.aliveIdx, i)
+		g.aliveFaults = append(g.aliveFaults, g.u.Collapsed[i])
+	}
+	results, st, err := g.camp.RunWordsCheckpoint(ctx, g.ck, g.aliveFaults, w, w+1)
+	g.campStats.Add(st)
 	if err != nil {
 		return 0, err
 	}
-	for w := len(kept) - 1; w >= 0; w-- {
-		kept[w] = false
-		d, err := detectedBy(kept)
+	dropped := 0
+	for k, res := range results {
+		if res.Detected {
+			g.drop(g.aliveIdx[k])
+			g.detected++
+			dropped++
+		}
+	}
+	return dropped, nil
+}
+
+// randomPhase is phase 1: seeded random 64-pattern words with fault
+// dropping, until UselessLimit consecutive words detect nothing new. The
+// faults still remaining afterwards are exactly the ones phase 2 hands
+// to PODEM.
+func (g *genFlow) randomPhase(ctx context.Context) error {
+	useless := 0
+	for w := 0; w < g.cfg.MaxRandomWords && g.nRemaining > 0 && useless < g.cfg.UselessLimit; w++ {
+		p := g.c.NewPattern(64)
+		for i := range p.FFVals {
+			p.FFVals[i] = g.rng.Uint64()
+		}
+		for i := range p.PIVals {
+			p.PIVals[i] = g.rng.Uint64()
+		}
+		g.sim.AddPattern(p)
+		g.vectors += 64
+		d, err := g.dropWord(ctx, len(g.sim.Patterns)-1)
 		if err != nil {
-			return 0, err
+			return err
 		}
-		if d < full {
-			kept[w] = true
-		}
-	}
-	vectors := 0
-	for w, k := range kept {
-		if k {
-			vectors += g.Sim.Patterns[w].Lanes
+		if d == 0 {
+			useless++
+		} else {
+			useless = 0
 		}
 	}
-	return vectors, nil
+	return nil
+}
+
+// result assembles the GenResult from whatever the flow has finished —
+// the complete answer on success, the progress record on interrupt.
+func (g *genFlow) result() *GenResult {
+	res := &GenResult{
+		Sim:        g.sim,
+		Vectors:    g.vectors,
+		Faults:     g.u.CountAll(),
+		Collapsed:  g.u.CountCollapsed(),
+		Detected:   g.detected,
+		Untestable: g.untestable,
+		Aborted:    g.aborted,
+		ScanCells:  g.c.Cells(),
+		Cycles:     g.c.TestCycles(g.vectors),
+		Stats:      g.campStats,
+	}
+	if d := g.u.CountCollapsed() - g.untestable; d > 0 {
+		res.Coverage = float64(g.detected) / float64(d)
+	}
+	return res
 }

@@ -7,7 +7,9 @@ import (
 // podem is the working state of one PODEM run.
 type podem struct {
 	n     *netlist.Netlist
+	v     *netlist.View // the netlist's levelized gate arrays
 	fault netlist.Fault
+	stuck V3 // the fault's stuck value
 
 	// pis lists the controllable points: primary inputs then FF Q nets.
 	pis []netlist.NetID
@@ -55,7 +57,24 @@ func (r PodemResult) String() string {
 // Podem attempts to generate a test for fault f on n. maxBacktracks bounds
 // the search (typical production values are 10-100).
 func Podem(n *netlist.Netlist, f netlist.Fault, maxBacktracks int) (Cube, PodemResult) {
-	p := &podem{n: n, fault: f, maxBacktracks: maxBacktracks}
+	p := newPodem(n, f, maxBacktracks)
+	ok, aborted := p.search()
+	cube := Cube{PI: make([]V3, len(n.Inputs)), FF: make([]V3, n.NumFFs())}
+	copy(cube.PI, p.assign[:len(n.Inputs)])
+	copy(cube.FF, p.assign[len(n.Inputs):])
+	switch {
+	case ok:
+		return cube, Detected
+	case aborted:
+		return Cube{}, Aborted
+	default:
+		return Cube{}, Untestable
+	}
+}
+
+// newPodem sets up the working state for one run: every PI unassigned.
+func newPodem(n *netlist.Netlist, f netlist.Fault, maxBacktracks int) *podem {
+	p := &podem{n: n, v: n.View(), fault: f, stuck: saVal(f.StuckAt1), maxBacktracks: maxBacktracks}
 	p.pis = make([]netlist.NetID, 0, len(n.Inputs)+n.NumFFs())
 	p.pis = append(p.pis, n.Inputs...)
 	for i := range n.FFs {
@@ -75,19 +94,7 @@ func Podem(n *netlist.Netlist, f netlist.Fault, maxBacktracks int) (Cube, PodemR
 		p.obsNets = append(p.obsNets, n.FFs[fi].D)
 	}
 	p.obsNets = append(p.obsNets, n.Outputs...)
-
-	ok, aborted := p.search()
-	cube := Cube{PI: make([]V3, len(n.Inputs)), FF: make([]V3, n.NumFFs())}
-	copy(cube.PI, p.assign[:len(n.Inputs)])
-	copy(cube.FF, p.assign[len(n.Inputs):])
-	switch {
-	case ok:
-		return cube, Detected
-	case aborted:
-		return Cube{}, Aborted
-	default:
-		return Cube{}, Untestable
-	}
+	return p
 }
 
 type decision struct {
@@ -144,7 +151,6 @@ func (p *podem) search() (bool, bool) {
 // imply performs full forward 5-valued implication from the current PI
 // assignments.
 func (p *podem) imply() {
-	n := p.n
 	for i := range p.good {
 		p.good[i] = X
 		p.bad[i] = X
@@ -153,15 +159,22 @@ func (p *podem) imply() {
 		p.good[net] = p.assign[i]
 		p.bad[net] = p.assign[i]
 	}
+	f := p.fault
 	// FF-output fault: faulty plane of Q is forced
-	if p.fault.Gate < 0 && p.fault.FF >= 0 {
-		q := n.FFs[p.fault.FF].Q
-		p.bad[q] = saVal(p.fault.StuckAt1)
+	if f.Gate < 0 && f.FF >= 0 {
+		p.bad[p.n.FFs[f.FF].Q] = p.stuck
 	}
-	for _, gi := range n.TopoOrder() {
-		g := &n.Gates[gi]
-		p.good[g.Out] = evalPlane3(g, p.good, netlist.NoFault, gi)
-		p.bad[g.Out] = evalPlane3(g, p.bad, p.fault, gi)
+	for _, g := range p.v.Order {
+		out := p.v.Out[g]
+		p.good[out] = p.eval3(p.good, g, -1)
+		switch {
+		case g != f.Gate:
+			p.bad[out] = p.eval3(p.bad, g, -1)
+		case f.Pin >= 0:
+			p.bad[out] = p.eval3(p.bad, g, f.Pin)
+		default:
+			p.bad[out] = p.stuck
+		}
 	}
 }
 
@@ -172,58 +185,90 @@ func saVal(sa1 bool) V3 {
 	return Zero
 }
 
-// evalPlane3 evaluates one gate in one plane, honoring fault injection if f
-// targets this gate.
-func evalPlane3(g *netlist.Gate, plane []V3, f netlist.Fault, gi netlist.GateID) V3 {
+// eval3 is the three-valued gate evaluator: gate g of the view over one
+// value plane. A stuck input pin (pin >= 0) reads the fault's stuck value
+// instead of its net. Unfaulted gates of the common arities (1-, 2-input,
+// 3-input mux) are dispatched without building an input slice.
+func (p *podem) eval3(plane []V3, g netlist.GateID, pin int) V3 {
+	v := p.v
+	lo, hi := v.PinOff[g], v.PinOff[g+1]
+	k := v.Kind[g]
+	if pin < 0 {
+		switch hi - lo {
+		case 1:
+			switch k {
+			case netlist.Buf:
+				return plane[v.Pins[lo]]
+			case netlist.Not:
+				return not3(plane[v.Pins[lo]])
+			}
+		case 2:
+			a, b := plane[v.Pins[lo]], plane[v.Pins[lo+1]]
+			switch k {
+			case netlist.And:
+				return and3(a, b)
+			case netlist.Nand:
+				return not3(and3(a, b))
+			case netlist.Or:
+				return or3(a, b)
+			case netlist.Nor:
+				return not3(or3(a, b))
+			case netlist.Xor:
+				return xor3(a, b)
+			case netlist.Xnor:
+				return not3(xor3(a, b))
+			}
+		case 3:
+			if k == netlist.Mux2 {
+				return mux3(plane[v.Pins[lo]], plane[v.Pins[lo+1]], plane[v.Pins[lo+2]])
+			}
+		}
+	}
 	var buf [8]V3
 	ins := buf[:0]
-	for _, in := range g.In {
+	for _, in := range v.Pins[lo:hi] {
 		ins = append(ins, plane[in])
 	}
-	if f.Gate == gi && f.Pin >= 0 {
-		ins[f.Pin] = saVal(f.StuckAt1)
+	if pin >= 0 {
+		ins[pin] = p.stuck
 	}
-	var v V3
-	switch g.Kind {
+	var out V3
+	switch k {
 	case netlist.And, netlist.Nand:
-		v = One
+		out = One
 		for _, x := range ins {
-			v = and3(v, x)
-		}
-		if g.Kind == netlist.Nand {
-			v = not3(v)
+			out = and3(out, x)
 		}
 	case netlist.Or, netlist.Nor:
-		v = Zero
+		out = Zero
 		for _, x := range ins {
-			v = or3(v, x)
-		}
-		if g.Kind == netlist.Nor {
-			v = not3(v)
+			out = or3(out, x)
 		}
 	case netlist.Xor, netlist.Xnor:
-		v = Zero
+		out = Zero
 		for _, x := range ins {
-			v = xor3(v, x)
-		}
-		if g.Kind == netlist.Xnor {
-			v = not3(v)
+			out = xor3(out, x)
 		}
 	case netlist.Not:
-		v = not3(ins[0])
+		out = not3(ins[0])
 	case netlist.Buf:
-		v = ins[0]
+		out = ins[0]
 	case netlist.Mux2:
-		v = mux3(ins[0], ins[1], ins[2])
+		out = mux3(ins[0], ins[1], ins[2])
 	case netlist.Const0:
-		v = Zero
+		out = Zero
 	case netlist.Const1:
-		v = One
+		out = One
 	}
-	if f.Gate == gi && f.Pin < 0 {
-		v = saVal(f.StuckAt1)
+	if k == netlist.Nand || k == netlist.Nor || k == netlist.Xnor {
+		out = not3(out)
 	}
-	return v
+	return out
+}
+
+// pins returns gate g's input nets.
+func (p *podem) pins(g netlist.GateID) []netlist.NetID {
+	return p.v.Pins[p.v.PinOff[g]:p.v.PinOff[g+1]]
 }
 
 // isError reports whether net carries D or D'.
@@ -241,7 +286,7 @@ func (p *podem) errorAtOutput() bool {
 	// FF-output faults are observed directly on scan-out of the faulty cell
 	if p.fault.Gate < 0 && p.fault.FF >= 0 {
 		d := p.n.FFs[p.fault.FF].D
-		if p.good[d] != X && p.good[d] != saVal(p.fault.StuckAt1) {
+		if p.good[d] != X && p.good[d] != p.stuck {
 			return true
 		}
 	}
@@ -253,29 +298,11 @@ func (p *podem) siteLine() netlist.NetID {
 	f := p.fault
 	switch {
 	case f.Gate >= 0 && f.Pin >= 0:
-		return p.n.Gates[f.Gate].In[f.Pin]
+		return p.pins(f.Gate)[f.Pin]
 	case f.Gate >= 0:
-		return p.n.Gates[f.Gate].Out
+		return p.v.Out[f.Gate]
 	default:
 		return p.n.FFs[f.FF].D // activation for FF faults: capture opposite value
-	}
-}
-
-// activated reports whether the fault currently produces an error at its
-// site.
-func (p *podem) activated() bool {
-	f := p.fault
-	switch {
-	case f.Gate >= 0 && f.Pin >= 0:
-		// error appears at the gate output if the pin divergence propagates;
-		// activation condition: good value of pin line is opposite the stuck
-		// value — the output error is then up to propagation.
-		return p.good[p.siteLine()] == not3(saVal(f.StuckAt1)) && p.isError(p.n.Gates[f.Gate].Out)
-	case f.Gate >= 0:
-		return p.isError(p.n.Gates[f.Gate].Out)
-	default:
-		q := p.n.FFs[f.FF].Q
-		return p.isError(q) || p.good[q] == not3(saVal(f.StuckAt1))
 	}
 }
 
@@ -286,12 +313,8 @@ func (p *podem) feasible() bool {
 	f := p.fault
 	// activation still possible?
 	line := p.siteLine()
-	want := not3(saVal(f.StuckAt1))
-	if f.Gate >= 0 && f.Pin >= 0 {
-		if p.good[line] != X && p.good[line] != want {
-			return false
-		}
-	} else if f.Gate >= 0 {
+	want := not3(p.stuck)
+	if f.Gate >= 0 {
 		if p.good[line] != X && p.good[line] != want {
 			return false
 		}
@@ -315,8 +338,8 @@ func (p *podem) feasible() bool {
 }
 
 func (p *podem) anyError() bool {
-	for _, g := range p.n.Gates {
-		if p.isError(g.Out) {
+	for _, out := range p.v.Out {
+		if p.isError(out) {
 			return true
 		}
 	}
@@ -330,15 +353,14 @@ func (p *podem) anyError() bool {
 // not-fully-determined output.
 func (p *podem) dFrontier() []netlist.GateID {
 	var out []netlist.GateID
-	for gi := range p.n.Gates {
-		g := &p.n.Gates[gi]
-		if p.isError(g.Out) {
+	for gi, o := range p.v.Out {
+		if p.isError(o) {
 			continue
 		}
-		if p.good[g.Out] != X && p.bad[g.Out] != X {
+		if p.good[o] != X && p.bad[o] != X {
 			continue // fully determined, error cannot appear anymore
 		}
-		for _, in := range g.In {
+		for _, in := range p.pins(netlist.GateID(gi)) {
 			if p.isError(in) {
 				out = append(out, netlist.GateID(gi))
 				break
@@ -360,12 +382,8 @@ func (p *podem) xPathExists() bool {
 	if len(frontier) == 0 {
 		return false
 	}
-	obsSet := map[netlist.NetID]bool{}
-	for _, net := range p.obsNets {
-		obsSet[net] = true
-	}
-	fanout := p.n.GateFanout()
-	seen := make([]bool, p.n.NumGates())
+	v := p.v
+	seen := make([]bool, len(v.Out))
 	stack := append([]netlist.GateID(nil), frontier...)
 	for len(stack) > 0 {
 		g := stack[len(stack)-1]
@@ -374,16 +392,14 @@ func (p *podem) xPathExists() bool {
 			continue
 		}
 		seen[g] = true
-		out := p.n.Gates[g].Out
-		if obsSet[out] {
+		out := v.Out[g]
+		if v.ObsHead[out] >= 0 {
 			return true
 		}
 		if p.good[out] != X && p.bad[out] != X && !p.isError(out) {
 			continue // blocked: fully determined without error
 		}
-		for _, s := range fanout[g] {
-			stack = append(stack, s)
-		}
+		stack = append(stack, v.Rdrs[v.RdrOff[out]:v.RdrOff[out+1]]...)
 	}
 	return false
 }
@@ -392,33 +408,27 @@ func (p *podem) xPathExists() bool {
 // yet activated, otherwise advance a D-frontier gate.
 func (p *podem) objective() (netlist.NetID, V3, bool) {
 	f := p.fault
-	want := not3(saVal(f.StuckAt1))
+	want := not3(p.stuck)
 	line := p.siteLine()
-	if f.Gate >= 0 {
-		if p.good[line] == X {
-			return line, want, true
-		}
-	} else {
-		// FF fault: goal is to capture the opposite value into the cell (or
-		// propagate combinationally; capture goal is the simple one)
-		if p.good[line] == X {
-			return line, want, true
-		}
+	// Activate first. For an FF fault the goal is to capture the opposite
+	// value into the cell (propagating combinationally from Q would also
+	// do; the capture goal is the simple one).
+	if p.good[line] == X {
+		return line, want, true
 	}
 	// Input-pin faults: once the pin line is activated the divergence lives
 	// inside the faulty gate, which the D-frontier (a net-level notion)
 	// cannot see. Sensitize the faulty gate by setting its other X inputs
 	// to non-controlling values.
 	if f.Gate >= 0 && f.Pin >= 0 && p.good[line] == want {
-		g := &p.n.Gates[f.Gate]
-		out := g.Out
+		kind, out := p.v.Kind[f.Gate], p.v.Out[f.Gate]
 		if !p.isError(out) && (p.good[out] == X || p.bad[out] == X) {
-			nc, has := nonControlling(g.Kind)
-			for pin, in := range g.In {
+			nc, has := nonControlling(kind)
+			for pin, in := range p.pins(f.Gate) {
 				if pin == f.Pin || p.good[in] != X {
 					continue
 				}
-				if g.Kind == netlist.Mux2 && pin == 0 {
+				if kind == netlist.Mux2 && pin == 0 {
 					// route the faulty data pin through the mux
 					if f.Pin == 1 {
 						return in, Zero, true
@@ -434,15 +444,15 @@ func (p *podem) objective() (netlist.NetID, V3, bool) {
 	}
 	frontier := p.dFrontier()
 	for _, gi := range frontier {
-		g := &p.n.Gates[gi]
+		kind, ins := p.v.Kind[gi], p.pins(gi)
 		// set an X input to the gate's non-controlling value
-		nc, has := nonControlling(g.Kind)
-		for pin, in := range g.In {
+		nc, has := nonControlling(kind)
+		for pin, in := range ins {
 			if p.good[in] == X {
-				if g.Kind == netlist.Mux2 && pin == 0 {
+				if kind == netlist.Mux2 && pin == 0 {
 					// select the data input carrying the error
 					for di := 1; di <= 2; di++ {
-						if p.isError(g.In[di]) {
+						if p.isError(ins[di]) {
 							if di == 1 {
 								return in, Zero, true
 							}
@@ -487,14 +497,14 @@ func (p *podem) backtrace(net netlist.NetID, val V3) (int, V3) {
 		if gid < 0 {
 			return -1, X // FF D as objective shouldn't occur outside obs
 		}
-		g := &p.n.Gates[gid]
-		switch g.Kind {
+		kind, ins := p.v.Kind[gid], p.pins(gid)
+		switch kind {
 		case netlist.Not:
-			net, val = g.In[0], not3(val)
+			net, val = ins[0], not3(val)
 		case netlist.Buf:
-			net = g.In[0]
+			net = ins[0]
 		case netlist.And, netlist.Nand, netlist.Or, netlist.Nor:
-			inv := g.Kind == netlist.Nand || g.Kind == netlist.Nor
+			inv := kind == netlist.Nand || kind == netlist.Nor
 			target := val
 			if inv {
 				target = not3(val)
@@ -503,7 +513,7 @@ func (p *podem) backtrace(net netlist.NetID, val V3) (int, V3) {
 			// input suffices; otherwise all inputs need the non-controlling
 			// value — either way descending into the first X input works.
 			next := netlist.InvalidNet
-			for _, in := range g.In {
+			for _, in := range ins {
 				if p.good[in] == X {
 					next = in
 					break
@@ -515,13 +525,13 @@ func (p *podem) backtrace(net netlist.NetID, val V3) (int, V3) {
 			net, val = next, target
 		case netlist.Xor, netlist.Xnor:
 			target := val
-			if g.Kind == netlist.Xnor {
+			if kind == netlist.Xnor {
 				target = not3(val)
 			}
 			// parity of known inputs
 			parity := Zero
 			next := netlist.InvalidNet
-			for _, in := range g.In {
+			for _, in := range ins {
 				if p.good[in] == X {
 					if next == netlist.InvalidNet {
 						next = in
@@ -535,7 +545,7 @@ func (p *podem) backtrace(net netlist.NetID, val V3) (int, V3) {
 			}
 			net, val = next, xor3(target, parity)
 		case netlist.Mux2:
-			sel, a, b := g.In[0], g.In[1], g.In[2]
+			sel, a, b := ins[0], ins[1], ins[2]
 			switch {
 			case p.good[sel] == Zero:
 				net = a

@@ -242,17 +242,3 @@ func (s *System) MultiFaultIsolationFlow(ctx context.Context, tp *TestProgram, t
 	}
 	return ok, total, nil
 }
-
-// StageNames lists stages present in the design, sorted (debug helper).
-func (s *System) StageNames() []string {
-	set := map[string]bool{}
-	for _, st := range s.Design.StageOfComp {
-		set[st] = true
-	}
-	out := make([]string, 0, len(set))
-	for st := range set {
-		out = append(out, st)
-	}
-	sort.Strings(out)
-	return out
-}

@@ -290,9 +290,6 @@ type CoreCounts struct {
 // Shipped returns cores that left the fab.
 func (c CoreCounts) Shipped() int { return c.Clean + c.Degraded + c.FieldFail }
 
-// Functional returns shipped cores that actually work.
-func (c CoreCounts) Functional() int { return c.Clean + c.Degraded }
-
 // DefectCounts bins sampled defects by placement.
 type DefectCounts struct {
 	Struct, Direct, Scan, CKLogic, Healed int

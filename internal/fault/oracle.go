@@ -10,8 +10,12 @@ import (
 // scan package's load/capture semantics — no event-driven scheduling, no
 // levels, no fault dropping, no shared scratch state, no per-net reader
 // maps. It implements exactly the same Result contract as Sim (see the
-// ordering documentation on Result) while sharing none of Sim's machinery,
-// so the two engines cannot share a bug: the differential harness in
+// ordering documentation on Result) while sharing only one thing with Sim:
+// the 64-lane gate truth table netlist.EvalWord, which netlist's
+// TestGateTruthTables pins independently at every kind and arity. (The
+// oracle's State walks the netlist View's topological order and reads the
+// Gate records; Sim reads the View's level and CSR arrays instead.) So the
+// two engines cannot share a bug: the differential harness in
 // internal/diffcheck cross-checks them on thousands of generated circuits,
 // the methodology of differential simulator validation (cf. "Towards
 // Accurate Performance Modeling of RISC-V Designs").

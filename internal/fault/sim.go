@@ -53,10 +53,10 @@ const DefaultConeThreshold = 1024
 // share across any number of concurrent workers — everything mutable
 // lives in simScratch, and the scratch pool below hands one to each.
 //
-// The gate structure is stored structure-of-arrays (kind/out/pin arrays
-// indexed by GateID, flattened pin and reader lists in CSR form) so the
-// event loop streams through dense int arrays instead of chasing
-// netlist.Gate records.
+// The gate structure is the netlist's structure-of-arrays View (kind/out/
+// pin arrays indexed by GateID, flattened pin and reader lists in CSR
+// form), aliased read-only, so the event loop streams through dense int
+// arrays instead of chasing netlist.Gate records.
 type simCore struct {
 	C        *scan.Chain
 	N        *netlist.Netlist
@@ -66,7 +66,7 @@ type simCore struct {
 	goodNets [][]uint64 // [word][net] post-EvalComb values (pre-capture)
 	masks    []uint64   // [word] cached Pattern.LaneMask()
 
-	// static structure (structure-of-arrays)
+	// static structure: aliases of the netlist View's arrays
 	level    []int32 // per-gate combinational level
 	maxLevel int32
 	kind     []netlist.GateKind // per-gate kind
@@ -209,71 +209,13 @@ func NewSim(c *scan.Chain, patterns []*scan.Pattern) *Sim {
 // pins the clipped path against).
 func NewSimCone(c *scan.Chain, patterns []*scan.Pattern, threshold int) *Sim {
 	n := c.N
-	s := &Sim{simCore: simCore{C: c, N: n}}
-	// levels + SoA gate arrays
-	nGates := n.NumGates()
-	s.level = make([]int32, nGates)
-	s.kind = make([]netlist.GateKind, nGates)
-	s.gateOut = make([]netlist.NetID, nGates)
-	s.pinOff = make([]int32, nGates+1)
-	for gi := range n.Gates {
-		s.kind[gi] = n.Gates[gi].Kind
-		s.gateOut[gi] = n.Gates[gi].Out
-		s.pinOff[gi+1] = s.pinOff[gi] + int32(len(n.Gates[gi].In))
-	}
-	s.pins = make([]netlist.NetID, s.pinOff[nGates])
-	for gi := range n.Gates {
-		copy(s.pins[s.pinOff[gi]:s.pinOff[gi+1]], n.Gates[gi].In)
-	}
-	for _, gi := range n.TopoOrder() {
-		var lv int32
-		for _, in := range s.pins[s.pinOff[gi]:s.pinOff[gi+1]] {
-			if d := n.DriverGate(in); d >= 0 {
-				if s.level[d]+1 > lv {
-					lv = s.level[d] + 1
-				}
-			}
-		}
-		s.level[gi] = lv
-		if lv > s.maxLevel {
-			s.maxLevel = lv
-		}
-	}
-	// per-net readers, CSR
-	nNets := n.NumNets()
-	s.rdrOff = make([]int32, nNets+1)
-	for _, in := range s.pins {
-		s.rdrOff[in+1]++
-	}
-	for i := 0; i < nNets; i++ {
-		s.rdrOff[i+1] += s.rdrOff[i]
-	}
-	s.rdrs = make([]netlist.GateID, len(s.pins))
-	fill := make([]int32, nNets)
-	for gi := range n.Gates {
-		for _, in := range s.pins[s.pinOff[gi]:s.pinOff[gi+1]] {
-			s.rdrs[s.rdrOff[in]+fill[in]] = netlist.GateID(gi)
-			fill[in]++
-		}
-	}
-	// observation chains per net
-	s.numObs = n.NumFFs() + len(n.Outputs)
-	s.obsHead = make([]int32, nNets)
-	for i := range s.obsHead {
-		s.obsHead[i] = -1
-	}
-	s.obsNext = make([]int32, s.numObs)
-	addObs := func(net netlist.NetID, oi int32) {
-		s.obsNext[oi] = s.obsHead[net]
-		s.obsHead[net] = oi
-	}
-	// Insert in reverse so each chain reads out in ascending obs order.
-	for oi := len(n.Outputs) - 1; oi >= 0; oi-- {
-		addObs(n.Outputs[oi], int32(n.NumFFs()+oi))
-	}
-	for fi := n.NumFFs() - 1; fi >= 0; fi-- {
-		addObs(n.FFs[fi].D, int32(fi))
-	}
+	// The gate structure is the netlist's levelized view, aliased under
+	// the core's own names; the core only ever reads it.
+	v := n.View()
+	s := &Sim{simCore: simCore{C: c, N: n,
+		level: v.Level, maxLevel: v.MaxLevel, kind: v.Kind, gateOut: v.Out,
+		pinOff: v.PinOff, pins: v.Pins, rdrOff: v.RdrOff, rdrs: v.Rdrs,
+		obsHead: v.ObsHead, obsNext: v.ObsNext, numObs: len(v.ObsNext)}}
 	s.buildCones(threshold)
 	s.scr.init(&s.simCore)
 	for _, p := range patterns {
@@ -407,11 +349,11 @@ func (s *simCore) AddPattern(p *scan.Pattern) {
 		for j := range ins {
 			sv := ins[j]
 			ins[j] = 0
-			if (evalGate(k, ins)^gv)&m != 0 {
+			if (netlist.EvalWord(k, ins)^gv)&m != 0 {
 				s.exPinFlip0[(int(lo)+j)*s.exStride+blk] |= 1 << bit
 			}
 			ins[j] = ^uint64(0)
-			if (evalGate(k, ins)^gv)&m != 0 {
+			if (netlist.EvalWord(k, ins)^gv)&m != 0 {
 				s.exPinFlip1[(int(lo)+j)*s.exStride+blk] |= 1 << bit
 			}
 			ins[j] = sv
@@ -454,9 +396,6 @@ func (s *simCore) growGoodT(stride int) {
 	s.goodRespT = grow(s.goodRespT, s.numObs)
 	s.gtStride = stride
 }
-
-// GoodResponse returns the good-machine response words of pattern word w.
-func (s *simCore) GoodResponse(w int) []uint64 { return s.goodResp[w] }
 
 // Run simulates fault f against every pattern. If maxFail > 0, simulation
 // stops after collecting that many failing bits (fast detection mode);
@@ -884,7 +823,7 @@ func (c *simCore) netValT(scr *simScratch, st, w int, in netlist.NetID) uint64 {
 // evalGateAtT / evalGateForcedT are the clipped path's gate evaluators,
 // reading good-machine inputs from the transposed (net-major) image.
 // The common arities (1-, 2-input, 3-input mux) are dispatched without
-// building an input slice; anything else falls through to evalGate.
+// building an input slice; anything else falls through to netlist.EvalWord.
 func (c *simCore) evalGateAtT(scr *simScratch, w int, gi netlist.GateID) uint64 {
 	st := c.gtStride
 	lo := c.pinOff[gi]
@@ -928,7 +867,7 @@ func (c *simCore) evalGateAtT(scr *simScratch, w int, gi netlist.GateID) uint64 
 	for _, in := range c.pins[lo:c.pinOff[gi+1]] {
 		ins = append(ins, c.netValT(scr, st, w, in))
 	}
-	return evalGate(k, ins)
+	return netlist.EvalWord(k, ins)
 }
 
 func (c *simCore) evalGateForcedT(scr *simScratch, w int, gi netlist.GateID,
@@ -966,7 +905,7 @@ func (c *simCore) evalGateForcedT(scr *simScratch, w int, gi netlist.GateID,
 		ins = append(ins, c.netValT(scr, st, w, in))
 	}
 	ins[pin] = stuckWord
-	return evalGate(k, ins)
+	return netlist.EvalWord(k, ins)
 }
 
 // evalGateAt evaluates one gate against the current overlay: inputs inside
@@ -982,7 +921,7 @@ func (c *simCore) evalGateAt(scr *simScratch, good []uint64, gi netlist.GateID) 
 			ins = append(ins, good[in])
 		}
 	}
-	return evalGate(c.kind[gi], ins)
+	return netlist.EvalWord(c.kind[gi], ins)
 }
 
 // evalGateForced is evalGateAt with one input pin forced to the stuck
@@ -1000,7 +939,7 @@ func (c *simCore) evalGateForced(scr *simScratch, good []uint64, gi netlist.Gate
 		}
 	}
 	ins[pin] = stuckWord
-	return evalGate(c.kind[gi], ins)
+	return netlist.EvalWord(c.kind[gi], ins)
 }
 
 // finalizeWord normalizes the bits one pattern word appended to res into
@@ -1055,60 +994,4 @@ func (s *Sim) Coverage(faults []netlist.Fault) float64 {
 		}
 	}
 	return float64(n) / float64(len(faults))
-}
-
-// evalGate mirrors netlist's gate semantics (duplicated to keep the hot
-// loop free of cross-package calls; netlist's own tests pin the truth
-// tables, and TestSimMatchesFullEval pins this copy against them).
-func evalGate(k netlist.GateKind, ins []uint64) uint64 {
-	switch k {
-	case netlist.And:
-		v := ^uint64(0)
-		for _, x := range ins {
-			v &= x
-		}
-		return v
-	case netlist.Or:
-		v := uint64(0)
-		for _, x := range ins {
-			v |= x
-		}
-		return v
-	case netlist.Nand:
-		v := ^uint64(0)
-		for _, x := range ins {
-			v &= x
-		}
-		return ^v
-	case netlist.Nor:
-		v := uint64(0)
-		for _, x := range ins {
-			v |= x
-		}
-		return ^v
-	case netlist.Xor:
-		v := uint64(0)
-		for _, x := range ins {
-			v ^= x
-		}
-		return v
-	case netlist.Xnor:
-		v := uint64(0)
-		for _, x := range ins {
-			v ^= x
-		}
-		return ^v
-	case netlist.Not:
-		return ^ins[0]
-	case netlist.Buf:
-		return ins[0]
-	case netlist.Mux2:
-		sel, a, b := ins[0], ins[1], ins[2]
-		return (a &^ sel) | (b & sel)
-	case netlist.Const0:
-		return 0
-	case netlist.Const1:
-		return ^uint64(0)
-	}
-	panic("fault: unknown gate kind")
 }

@@ -172,8 +172,8 @@ type tpAtKey struct {
 	MaxBacktracks  int    `json:"maxBacktracks"`
 }
 
-// testProgramAtKey is exported logic kept in one place: the cache key for
-// a variant test program is the netlist digest plus the generation knobs.
+// testProgramAtKey is the cache key for a variant test program: the
+// netlist digest plus the generation knobs.
 func testProgramAtKey(netKey string, gen atpg.GenConfig) tpAtKey {
 	return tpAtKey{
 		Net:            netKey,
@@ -198,34 +198,6 @@ func (e Env) TestProgramAt(ctx context.Context, netKey string, sys *core.System,
 		return &core.TestProgram{Gen: &atpg.GenResult{}}, err
 	}
 	return val.(*core.TestProgram), err
-}
-
-type dictAtKey struct {
-	TP tpAtKey `json:"tp"`
-}
-
-// DictionaryAt returns the full fault dictionary over a variant test
-// program, cached under the test program's key. Stats follow the same
-// warm-hit convention as Dictionary.
-func (e Env) DictionaryAt(ctx context.Context, netKey string, tp *core.TestProgram, gen atpg.GenConfig, workers int) (*fault.Dictionary, fault.Stats, error) {
-	build := func() (any, error) {
-		d, st, err := fault.BuildDictionaryFlow(ctx, tp.Gen.Sim, tp.Universe, workers, e.Ck)
-		return dictArtifact{d, st}, err
-	}
-	if e.Store == nil {
-		val, err := build()
-		a := val.(dictArtifact)
-		return a.d, a.st, err
-	}
-	val, hit, err := e.Store.do(digest("dictionary", dictAtKey{testProgramAtKey(netKey, gen)}), build)
-	if val == nil {
-		return nil, fault.Stats{}, err
-	}
-	a := val.(dictArtifact)
-	if hit {
-		return a.d, fault.Stats{}, err
-	}
-	return a.d, a.st, err
 }
 
 type pmAtKey struct {

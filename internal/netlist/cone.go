@@ -78,90 +78,3 @@ func (n *Netlist) FanInComps() [][]CompID {
 	}
 	return out
 }
-
-// ForwardCone returns the gates structurally reachable (within one cycle)
-// from a fault site, in topological order — the only gates whose values can
-// differ from the good machine during a single capture cycle. Used by the
-// event-restricted fault simulator. For FF-output faults, the cone starts
-// at the gates reading the FF's Q net.
-func (n *Netlist) ForwardCone(f Fault) []GateID {
-	if err := n.levelize(); err != nil {
-		panic(err)
-	}
-	inCone := make([]bool, len(n.Gates))
-	var seed []GateID
-	switch {
-	case f.Gate >= 0:
-		seed = append(seed, f.Gate)
-	case f.FF >= 0:
-		q := n.FFs[f.FF].Q
-		for gi := range n.Gates {
-			for _, in := range n.Gates[gi].In {
-				if in == q {
-					seed = append(seed, GateID(gi))
-					break
-				}
-			}
-		}
-	}
-	stack := append([]GateID(nil), seed...)
-	for len(stack) > 0 {
-		g := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if inCone[g] {
-			continue
-		}
-		inCone[g] = true
-		for _, s := range n.fanout[g] {
-			if !inCone[s] {
-				stack = append(stack, s)
-			}
-		}
-	}
-	cone := make([]GateID, 0, 64)
-	for _, g := range n.order {
-		if inCone[g] {
-			cone = append(cone, g)
-		}
-	}
-	return cone
-}
-
-// readersOf is a cached map from net to reading gates, built on demand for
-// FF fan-out queries.
-func (n *Netlist) readersOf(net NetID) []GateID {
-	var out []GateID
-	for gi := range n.Gates {
-		for _, in := range n.Gates[gi].In {
-			if in == net {
-				out = append(out, GateID(gi))
-				break
-			}
-		}
-	}
-	return out
-}
-
-// ConeObsPoints returns the indices (into ObsPoints) of observation points
-// whose sampled net is driven by a gate in cone, plus — for FF faults — the
-// FF's own observation point (a stuck FF output is observed directly when
-// the chain is shifted out). obsIndexOfNet must map net->obs index or -1.
-func (n *Netlist) ConeObsPoints(cone []GateID, f Fault) []int {
-	// map gate output nets in cone
-	inCone := map[NetID]bool{}
-	for _, g := range cone {
-		inCone[n.Gates[g].Out] = true
-	}
-	var idxs []int
-	pts := n.ObsPoints()
-	for pi, p := range pts {
-		if inCone[n.ObsNet(p)] {
-			idxs = append(idxs, pi)
-		}
-	}
-	if f.Gate < 0 && f.FF >= 0 {
-		// The faulty FF is itself observed on scan-out.
-		idxs = append(idxs, int(f.FF))
-	}
-	return idxs
-}

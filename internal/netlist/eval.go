@@ -8,20 +8,18 @@ import "fmt"
 // 64 scan-test patterns at once.
 type State struct {
 	n    *Netlist
+	v    *View
 	Vals []uint64
 }
 
 // NewState allocates a zeroed simulation state for n.
 func (n *Netlist) NewState() *State {
-	if err := n.levelize(); err != nil {
-		panic(err)
-	}
-	return &State{n: n, Vals: make([]uint64, len(n.nets))}
+	return &State{n: n, v: n.View(), Vals: make([]uint64, len(n.nets))}
 }
 
 // Clone returns a deep copy of the state.
 func (s *State) Clone() *State {
-	c := &State{n: s.n, Vals: make([]uint64, len(s.Vals))}
+	c := &State{n: s.n, v: s.v, Vals: make([]uint64, len(s.Vals))}
 	copy(c.Vals, s.Vals)
 	return c
 }
@@ -57,9 +55,6 @@ type Fault struct {
 // NoFault is the zero-cost "no fault injected" sentinel.
 var NoFault = Fault{Gate: -1, FF: -1, Pin: -1}
 
-// IsValid reports whether f names a real fault site.
-func (f Fault) IsValid() bool { return f.Gate >= 0 || f.FF >= 0 }
-
 func (f Fault) String() string {
 	sa := 0
 	if f.StuckAt1 {
@@ -74,7 +69,12 @@ func (f Fault) String() string {
 	return fmt.Sprintf("G%d/in%d sa%d", f.Gate, f.Pin, sa)
 }
 
-func evalGate(k GateKind, ins []uint64) uint64 {
+// EvalWord is the 64-lane truth table of every gate kind: ins holds one
+// word per input pin (Mux2: sel, a, b), bit i of each word belonging to
+// pattern lane i. It is the single definition of gate semantics that
+// State, the fault simulator and its brute-force oracle all evaluate
+// through; TestGateTruthTables pins it at every legal arity.
+func EvalWord(k GateKind, ins []uint64) uint64 {
 	switch k {
 	case And:
 		v := ^uint64(0)
@@ -127,7 +127,10 @@ func evalGate(k GateKind, ins []uint64) uint64 {
 	panic("netlist: unknown gate kind")
 }
 
-// evalOne evaluates a single gate into s, honoring an injected fault.
+// evalOne evaluates a single gate into s, honoring an injected fault. It
+// reads the Gate record, not the View's pin arrays, so the brute-force
+// fault oracle built on State shares no structure with the fault
+// simulator beyond EvalWord.
 func (s *State) evalOne(gi GateID, f Fault) {
 	g := &s.n.Gates[gi]
 	var buf [8]uint64
@@ -142,7 +145,7 @@ func (s *State) evalOne(gi GateID, f Fault) {
 			ins[f.Pin] = 0
 		}
 	}
-	v := evalGate(g.Kind, ins)
+	v := EvalWord(g.Kind, ins)
 	if f.Gate == gi && f.Pin < 0 {
 		if f.StuckAt1 {
 			v = ^uint64(0)
@@ -153,9 +156,10 @@ func (s *State) evalOne(gi GateID, f Fault) {
 	s.Vals[g.Out] = v
 }
 
-// EvalComb evaluates all combinational logic from the current net values
-// (primary inputs and FF Q nets must be set by the caller) with fault f
-// injected. Pass NoFault for good-machine simulation.
+// EvalComb evaluates all combinational logic, in the View's topological
+// order, from the current net values (primary inputs and FF Q nets must be
+// set by the caller) with fault f injected. Pass NoFault for good-machine
+// simulation.
 func (s *State) EvalComb(f Fault) {
 	if f.Gate < 0 && f.FF >= 0 {
 		q := s.n.FFs[f.FF].Q
@@ -165,7 +169,7 @@ func (s *State) EvalComb(f Fault) {
 			s.Vals[q] = 0
 		}
 	}
-	for _, gi := range s.n.order {
+	for _, gi := range s.v.Order {
 		s.evalOne(gi, f)
 	}
 }

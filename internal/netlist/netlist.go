@@ -100,10 +100,7 @@ type Netlist struct {
 	compNames []string
 	curComp   CompID
 
-	// lazily computed
-	order   []GateID // topological order of gates
-	fanout  [][]GateID
-	levelOK bool
+	view *View // levelized view; nil until levelize, dropped on mutation
 }
 
 // New returns an empty netlist with the given name. Component 0 is
@@ -152,7 +149,7 @@ func (n *Netlist) SetCurrentComp(c CompID) { n.curComp = c }
 
 func (n *Netlist) newNet(name string) NetID {
 	n.nets = append(n.nets, netInfo{name: name, gate: -1, ff: -1})
-	n.levelOK = false
+	n.view = nil
 	return NetID(len(n.nets) - 1)
 }
 
@@ -170,6 +167,7 @@ func (n *Netlist) Output(id NetID, name string) {
 		n.nets[id].name = name
 	}
 	n.Outputs = append(n.Outputs, id)
+	n.view = nil
 }
 
 // AddGate appends a gate of kind k reading ins, returning its output net.
@@ -261,7 +259,7 @@ func (n *Netlist) DeclFF(name string) (FFID, NetID) {
 // BindFFD connects a declared flip-flop's D input to net d.
 func (n *Netlist) BindFFD(ff FFID, d NetID) {
 	n.FFs[ff].D = d
-	n.levelOK = false
+	n.view = nil
 }
 
 // DriverGate returns the gate driving net id, or -1 if it is driven by a
@@ -270,9 +268,6 @@ func (n *Netlist) DriverGate(id NetID) GateID { return n.nets[id].gate }
 
 // DriverFF returns the flip-flop driving net id, or -1.
 func (n *Netlist) DriverFF(id NetID) FFID { return n.nets[id].ff }
-
-// IsInput reports whether net id is a primary input.
-func (n *Netlist) IsInput(id NetID) bool { return n.nets[id].input }
 
 // Validate checks structural sanity: every gate input driven, no
 // combinational cycles, no floating FF D inputs. It returns the first
@@ -302,74 +297,6 @@ func (n *Netlist) Validate() error {
 		return err
 	}
 	return nil
-}
-
-// levelize computes a topological order of the gates. FF Q nets and primary
-// inputs are sources; a cycle among gates is a combinational loop error.
-func (n *Netlist) levelize() error {
-	if n.levelOK {
-		return nil
-	}
-	indeg := make([]int32, len(n.Gates))
-	// fanout from gate -> gates reading its output
-	fanout := make([][]GateID, len(n.Gates))
-	for gi := range n.Gates {
-		g := &n.Gates[gi]
-		for _, in := range g.In {
-			if d := n.nets[in].gate; d >= 0 {
-				fanout[d] = append(fanout[d], GateID(gi))
-				indeg[gi]++
-			}
-		}
-	}
-	order := make([]GateID, 0, len(n.Gates))
-	queue := make([]GateID, 0, len(n.Gates))
-	for gi := range n.Gates {
-		if indeg[gi] == 0 {
-			queue = append(queue, GateID(gi))
-		}
-	}
-	for len(queue) > 0 {
-		g := queue[0]
-		queue = queue[1:]
-		order = append(order, g)
-		for _, s := range fanout[g] {
-			indeg[s]--
-			if indeg[s] == 0 {
-				queue = append(queue, s)
-			}
-		}
-	}
-	if len(order) != len(n.Gates) {
-		// find one gate on a cycle for the error message
-		for gi := range n.Gates {
-			if indeg[gi] > 0 {
-				return fmt.Errorf("netlist %s: combinational cycle through gate %d (%v, comp %s)",
-					n.Name, gi, n.Gates[gi].Kind, n.compNames[n.Gates[gi].Comp])
-			}
-		}
-		return fmt.Errorf("netlist %s: combinational cycle", n.Name)
-	}
-	n.order = order
-	n.fanout = fanout
-	n.levelOK = true
-	return nil
-}
-
-// TopoOrder returns the gates in topological (evaluation) order.
-func (n *Netlist) TopoOrder() []GateID {
-	if err := n.levelize(); err != nil {
-		panic(err)
-	}
-	return n.order
-}
-
-// GateFanout returns, for each gate, the gates that read its output.
-func (n *Netlist) GateFanout() [][]GateID {
-	if err := n.levelize(); err != nil {
-		panic(err)
-	}
-	return n.fanout
 }
 
 // Stats summarizes netlist size.

@@ -1,33 +1,151 @@
 package netlist
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
 
+// TestGateTruthTables pins EvalWord, the one 64-lane truth table, for
+// every gate kind at every legal arity. Each input word enumerates all
+// input combinations across the low lanes (2 inputs: lanes 0-3, 3: 0-7,
+// 4: 0-15; the first input is the most significant lane-index bit), and
+// the expected words are written out by hand.
 func TestGateTruthTables(t *testing.T) {
+	in1 := []uint64{0b10}
+	in2 := []uint64{0b1100, 0b1010}
+	in3 := []uint64{0xF0, 0xCC, 0xAA}
+	in4 := []uint64{0xFF00, 0xF0F0, 0xCCCC, 0xAAAA}
 	cases := []struct {
 		kind GateKind
 		ins  []uint64
 		want uint64
 	}{
-		{And, []uint64{0b1100, 0b1010}, 0b1000},
-		{Or, []uint64{0b1100, 0b1010}, 0b1110},
-		{Nand, []uint64{0b1100, 0b1010}, ^uint64(0b1000)},
-		{Nor, []uint64{0b1100, 0b1010}, ^uint64(0b1110)},
-		{Xor, []uint64{0b1100, 0b1010}, 0b0110},
-		{Xnor, []uint64{0b1100, 0b1010}, ^uint64(0b0110)},
-		{Not, []uint64{0b1100}, ^uint64(0b1100)},
-		{Buf, []uint64{0b1100}, 0b1100},
-		// Mux2: sel, a, b -> sel ? b : a
-		{Mux2, []uint64{0b1100, 0b1010, 0b0110}, 0b0110&0b1100 | 0b1010&^uint64(0b1100)},
 		{Const0, nil, 0},
 		{Const1, nil, ^uint64(0)},
+		{Not, in1, ^uint64(0b10)},
+		{Buf, in1, 0b10},
+		// Mux2: sel, a, b -> sel ? b : a
+		{Mux2, in3, 0xAC},
+
+		{And, in2, 0b1000},
+		{Or, in2, 0b1110},
+		{Nand, in2, ^uint64(0b1000)},
+		{Nor, in2, ^uint64(0b1110)},
+		{Xor, in2, 0b0110},
+		{Xnor, in2, ^uint64(0b0110)},
+
+		{And, in3, 0x80},
+		{Or, in3, 0xFE},
+		{Nand, in3, ^uint64(0x80)},
+		{Nor, in3, ^uint64(0xFE)},
+		{Xor, in3, 0x96},
+		{Xnor, in3, ^uint64(0x96)},
+
+		{And, in4, 0x8000},
+		{Or, in4, 0xFFFE},
+		{Nand, in4, ^uint64(0x8000)},
+		{Nor, in4, ^uint64(0xFFFE)},
+		{Xor, in4, 0x6996},
+		{Xnor, in4, ^uint64(0x6996)},
 	}
 	for _, c := range cases {
-		if got := evalGate(c.kind, c.ins); got != c.want {
-			t.Errorf("%v(%b) = %b, want %b", c.kind, c.ins, got, c.want)
+		if got := EvalWord(c.kind, c.ins); got != c.want {
+			t.Errorf("%v/%d(%#x) = %#x, want %#x", c.kind, len(c.ins), c.ins, got, c.want)
+		}
+	}
+}
+
+// TestViewMatchesGates checks every array of the levelized view against a
+// brute-force recomputation from the Gate records: pins and kinds, the
+// reader CSR, the observation chains, a topological Order, and Level as
+// the longest gate path from a source.
+func TestViewMatchesGates(t *testing.T) {
+	for seed := uint64(0); seed < 40; seed++ {
+		n := Random(RandomConfig{Seed: seed})
+		if err := n.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		v := n.View()
+
+		pos := make([]int, n.NumGates())
+		for i, g := range v.Order {
+			pos[g] = i
+		}
+		if len(v.Order) != n.NumGates() {
+			t.Fatalf("seed %d: order has %d gates, want %d", seed, len(v.Order), n.NumGates())
+		}
+		var level func(g GateID) int32
+		memo := map[GateID]int32{}
+		level = func(g GateID) int32 {
+			if lv, ok := memo[g]; ok {
+				return lv
+			}
+			var lv int32
+			for _, in := range n.Gates[g].In {
+				if d := n.DriverGate(in); d >= 0 && level(d)+1 > lv {
+					lv = level(d) + 1
+				}
+			}
+			memo[g] = lv
+			return lv
+		}
+		var maxLevel int32
+		for gi, g := range n.Gates {
+			id := GateID(gi)
+			if v.Kind[gi] != g.Kind || v.Out[gi] != g.Out {
+				t.Fatalf("seed %d gate %d: kind/out %v/%d, want %v/%d", seed, gi, v.Kind[gi], v.Out[gi], g.Kind, g.Out)
+			}
+			pins := v.Pins[v.PinOff[gi]:v.PinOff[gi+1]]
+			if len(pins) != len(g.In) {
+				t.Fatalf("seed %d gate %d: %d pins, want %d", seed, gi, len(pins), len(g.In))
+			}
+			for pi, in := range g.In {
+				if pins[pi] != in {
+					t.Fatalf("seed %d gate %d pin %d: net %d, want %d", seed, gi, pi, pins[pi], in)
+				}
+				if d := n.DriverGate(in); d >= 0 && pos[d] >= pos[gi] {
+					t.Fatalf("seed %d: gate %d ordered before its driver %d", seed, gi, d)
+				}
+			}
+			if v.Level[gi] != level(id) {
+				t.Fatalf("seed %d gate %d: level %d, want %d", seed, gi, v.Level[gi], level(id))
+			}
+			if level(id) > maxLevel {
+				maxLevel = level(id)
+			}
+		}
+		if v.MaxLevel != maxLevel {
+			t.Fatalf("seed %d: max level %d, want %d", seed, v.MaxLevel, maxLevel)
+		}
+
+		pts := n.ObsPoints()
+		for net := 0; net < n.NumNets(); net++ {
+			var want []GateID
+			for gi, g := range n.Gates {
+				for _, in := range g.In {
+					if in == NetID(net) {
+						want = append(want, GateID(gi))
+					}
+				}
+			}
+			got := v.Rdrs[v.RdrOff[net]:v.RdrOff[net+1]]
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("seed %d net %d: readers %v, want %v", seed, net, got, want)
+			}
+			var wantObs, gotObs []int32
+			for oi, p := range pts {
+				if n.ObsNet(p) == NetID(net) {
+					wantObs = append(wantObs, int32(oi))
+				}
+			}
+			for oi := v.ObsHead[net]; oi >= 0; oi = v.ObsNext[oi] {
+				gotObs = append(gotObs, oi)
+			}
+			if fmt.Sprint(gotObs) != fmt.Sprint(wantObs) {
+				t.Fatalf("seed %d net %d: obs chain %v, want %v", seed, net, gotObs, wantObs)
+			}
 		}
 	}
 }
@@ -212,28 +330,6 @@ func TestFanInComps(t *testing.T) {
 	check("SRT.x", "LCX")
 	check("SRT.y", "LCY")
 	check("out", "LCN")
-}
-
-func TestForwardCone(t *testing.T) {
-	n := New("cone")
-	a := n.Input("a")
-	b := n.Input("b")
-	x := n.And(a, b) // gate 0
-	y := n.Or(x, a)  // gate 1, in cone of 0
-	z := n.Xor(a, b) // gate 2, NOT in cone of 0
-	w := n.And(y, z) // gate 3, in cone of 0
-	n.Output(w, "w")
-	cone := n.ForwardCone(Fault{Gate: 0, FF: -1, Pin: -1})
-	want := map[GateID]bool{0: true, 1: true, 3: true}
-	if len(cone) != len(want) {
-		t.Fatalf("cone = %v, want gates 0,1,3", cone)
-	}
-	for _, g := range cone {
-		if !want[g] {
-			t.Fatalf("cone = %v contains unexpected gate %d", cone, g)
-		}
-	}
-	_ = z
 }
 
 // Property: evaluating the same netlist twice from the same state is
