@@ -4,6 +4,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sync/atomic"
 	"time"
@@ -81,30 +82,27 @@ func (ff *FlowFlags) OpenCheckpoint() *fault.Checkpoint {
 func (ff *FlowFlags) Context() (context.Context, context.CancelFunc) {
 	ctx, stop := FlowContext(ff.Timeout)
 	if ff.Progress {
-		ctx = fault.WithProgress(ctx, StderrProgress())
+		ctx = fault.WithProgress(ctx, ProgressPrinter(os.Stderr))
 	}
 	return ctx, stop
 }
 
-// StderrProgress returns a ProgressFunc that prints campaign progress
-// lines to stderr, throttled to one line per 200ms plus the completion of
-// each campaign section, so multi-campaign flows stay readable in logs.
-func StderrProgress() fault.ProgressFunc {
+// ProgressPrinter returns a ProgressFunc that prints campaign progress
+// lines to w, throttled to one line per 200ms — completions included, so
+// a flow of many short campaign sections prints a handful of lines, not
+// one per section.
+func ProgressPrinter(w io.Writer) fault.ProgressFunc {
 	var lastPrint atomic.Int64
 	return func(done, total int64) {
 		now := time.Now().UnixNano()
-		if done != total {
-			last := lastPrint.Load()
-			if now-last < 200*int64(time.Millisecond) || !lastPrint.CompareAndSwap(last, now) {
-				return
-			}
-		} else {
-			lastPrint.Store(now)
+		last := lastPrint.Load()
+		if now-last < 200*int64(time.Millisecond) || !lastPrint.CompareAndSwap(last, now) {
+			return
 		}
 		pct := 100.0
 		if total > 0 {
 			pct = 100 * float64(done) / float64(total)
 		}
-		fmt.Fprintf(os.Stderr, "progress: %d/%d faults (%.1f%%)\n", done, total, pct)
+		fmt.Fprintf(w, "progress: %d/%d faults (%.1f%%)\n", done, total, pct)
 	}
 }

@@ -8,8 +8,10 @@
 // Backing the flows is a content-addressed artifact store: expensive
 // intermediates (built netlists, generated ATPG test sets, per-node IPC
 // tables, fault dictionaries) are keyed by a digest of the inputs that
-// determine them — generator, configuration, seed — computed once under
-// singleflight, and shared by every subsequent request. Worker count is
+// determine them — a Design for the netlist and the artifacts derived
+// from it, a Perf for the IPC table — computed once under singleflight,
+// and shared by every subsequent request, whichever flow or sweep point
+// makes it. This package computes every key. Worker count is
 // deliberately absent from every key: campaign results are bit-identical
 // at any concurrency (pinned by CI's golden checks), so a table built at
 // -workers 1 serves a -workers 4 job unchanged.
@@ -35,7 +37,6 @@ type Store struct {
 
 	hits   atomic.Int64
 	misses atomic.Int64
-	builds atomic.Int64
 }
 
 type flight struct {
@@ -55,10 +56,6 @@ func (s *Store) Hits() int64 { return s.hits.Load() }
 // Misses counts requests that had to start a build.
 func (s *Store) Misses() int64 { return s.misses.Load() }
 
-// Builds counts builds actually executed (== Misses; kept separate so the
-// metrics read naturally).
-func (s *Store) Builds() int64 { return s.builds.Load() }
-
 // Len reports the number of retained artifacts.
 func (s *Store) Len() int {
 	s.mu.Lock()
@@ -70,8 +67,12 @@ func (s *Store) Len() int {
 // hit reports whether the value came from the cache (including joining an
 // in-flight build — "concurrent identical submissions share one entry").
 // On build error the partial value is returned to every waiter and the
-// entry is dropped.
+// entry is dropped. A nil store caches nothing: every call builds.
 func (s *Store) do(key string, build func() (any, error)) (val any, hit bool, err error) {
+	if s == nil {
+		val, err = build()
+		return val, false, err
+	}
 	s.mu.Lock()
 	if e, ok := s.entries[key]; ok {
 		s.mu.Unlock()
@@ -84,7 +85,6 @@ func (s *Store) do(key string, build func() (any, error)) (val any, hit bool, er
 	s.mu.Unlock()
 
 	s.misses.Add(1)
-	s.builds.Add(1)
 	e.val, e.err = build()
 	if e.err != nil {
 		s.mu.Lock()

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"sync"
 	"testing"
+
+	"rescue/internal/rtl"
 )
 
 // TestStoreSingleflight: concurrent requesters of one key run one build and
@@ -40,8 +42,8 @@ func TestStoreSingleflight(t *testing.T) {
 			t.Fatalf("requester %d got %v", i, v)
 		}
 	}
-	if s.Builds() != 1 || s.Hits() != n-1 {
-		t.Fatalf("counters: builds=%d hits=%d, want 1 and %d", s.Builds(), s.Hits(), n-1)
+	if s.Misses() != 1 || s.Hits() != n-1 {
+		t.Fatalf("counters: misses=%d hits=%d, want 1 and %d", s.Misses(), s.Hits(), n-1)
 	}
 	if s.Len() != 1 {
 		t.Fatalf("store retains %d entries, want 1", s.Len())
@@ -68,15 +70,37 @@ func TestStoreErrorNotRetained(t *testing.T) {
 // TestDigestDeterministic: equal keys address equal artifacts; different
 // kinds or fields do not collide.
 func TestDigestDeterministic(t *testing.T) {
-	a := digest("testprogram", tpKey{Small: true, Variant: "rescue", Seed: 1})
-	b := digest("testprogram", tpKey{Small: true, Variant: "rescue", Seed: 1})
+	d := PaperDesign(true, rtl.RescueDesign)
+	a := digest("testprogram", tpKey{Design: d, Seed: 1})
+	b := digest("testprogram", tpKey{Design: PaperDesign(true, rtl.RescueDesign), Seed: 1})
 	if a != b {
 		t.Fatalf("equal keys digest differently: %s vs %s", a, b)
 	}
-	if a == digest("testprogram", tpKey{Small: true, Variant: "rescue", Seed: 2}) {
+	if a == digest("testprogram", tpKey{Design: d, Seed: 2}) {
 		t.Fatal("different seeds collide")
 	}
-	if a == digest("system", tpKey{Small: true, Variant: "rescue", Seed: 1}) {
+	if a == digest("testprogram", tpKey{Design: PaperDesign(true, rtl.Baseline), Seed: 1}) {
+		t.Fatal("different variants collide")
+	}
+	split := d
+	split.Chains = 4
+	if a == digest("testprogram", tpKey{Design: split, Seed: 1}) {
+		t.Fatal("different scan splits collide")
+	}
+	if a == digest("dictionary", tpKey{Design: d, Seed: 1}) {
 		t.Fatal("different kinds collide")
+	}
+}
+
+// TestNilStoreBuildsEveryTime: without a store every request builds and
+// nothing is counted.
+func TestNilStoreBuildsEveryTime(t *testing.T) {
+	var s *Store
+	builds := 0
+	for i := 0; i < 2; i++ {
+		v, hit, err := s.do("k", func() (any, error) { builds++; return builds, nil })
+		if err != nil || hit || v != i+1 {
+			t.Fatalf("call %d got (%v, hit=%v, %v)", i, v, hit, err)
+		}
 	}
 }

@@ -6,17 +6,17 @@ import (
 	"io"
 	"time"
 
-	"rescue/internal/atpg"
 	"rescue/internal/core"
 	"rescue/internal/fault"
 	"rescue/internal/rtl"
 )
 
 // DictOpts parameterizes the fault-dictionary build — the
-// `rescue-dict build` command surface.
+// `rescue-dict build` command surface and, through its JSON names, the
+// dict job's params.
 type DictOpts struct {
-	Small   bool
-	Workers int
+	Small   bool `json:"small"`
+	Workers int  `json:"workers"`
 }
 
 // DictResult carries the dictionary, the campaign stats (partial on
@@ -34,25 +34,20 @@ type DictResult struct {
 // infoW (pass io.Discard to get the bare artifact, as the daemon does).
 func DictBuild(ctx context.Context, infoW, csvW io.Writer, o DictOpts, env Env) (DictResult, error) {
 	var res DictResult
-	sys, err := env.System(o.Small, rtl.RescueDesign)
+	_, tp, err := DictSystem(ctx, o.Small, o.Workers, env)
 	if err != nil {
-		return res, fmt.Errorf("build: %w", err)
-	}
-	gen := atpg.DefaultGenConfig()
-	gen.Workers = o.Workers
-	tp, err := env.TestProgram(ctx, sys, o.Small, rtl.RescueDesign, gen)
-	if err != nil {
-		res.Stats = tp.Gen.Stats
+		if tp != nil {
+			res.Stats = tp.Gen.Stats
+		}
 		return res, err
 	}
 	fmt.Fprintf(infoW, "building dictionary over %d collapsed faults, %d vectors...\n",
 		tp.Universe.CountCollapsed(), tp.Gen.Vectors)
-	d, st, err := env.Dictionary(ctx, tp, testProgramKey(o.Small, rtl.RescueDesign, gen), o.Workers)
+	d, st, err := env.Dictionary(ctx, PaperDesign(o.Small, rtl.RescueDesign), defaultGen(o.Workers), tp)
+	res.Stats = st
 	if err != nil {
-		res.Stats = st
 		return res, err
 	}
-	res.Stats = st
 	fmt.Fprintf(infoW, "campaign: %d fault-sims, %d word-sims, %d gate events, %d workers, %s\n",
 		st.Faults, st.Words, st.Events, st.Workers, st.Wall.Round(time.Millisecond))
 	if err := d.WriteCSV(csvW); err != nil {
@@ -64,17 +59,17 @@ func DictBuild(ctx context.Context, infoW, csvW io.Writer, o DictOpts, env Env) 
 	return res, nil
 }
 
-// DictSystem builds the (system, test program) pair the diagnose
-// subcommand needs — shared with the build path so both see identical
-// artifacts.
+// DictSystem builds the (system, test program) pair behind the
+// dictionary — DictBuild's first half, and everything the diagnose
+// subcommand needs — so both see identical artifacts. On an ATPG
+// interrupt the partial test program is returned with the error.
 func DictSystem(ctx context.Context, small bool, workers int, env Env) (*core.System, *core.TestProgram, error) {
-	sys, err := env.System(small, rtl.RescueDesign)
+	d := PaperDesign(small, rtl.RescueDesign)
+	sys, err := env.System(d)
 	if err != nil {
 		return nil, nil, fmt.Errorf("build: %w", err)
 	}
-	gen := atpg.DefaultGenConfig()
-	gen.Workers = workers
-	tp, err := env.TestProgram(ctx, sys, small, rtl.RescueDesign, gen)
+	tp, err := env.TestProgram(ctx, d, sys, defaultGen(workers))
 	if err != nil {
 		return nil, tp, err
 	}

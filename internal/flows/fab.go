@@ -8,30 +8,32 @@ import (
 	"time"
 
 	"rescue/internal/area"
-	"rescue/internal/atpg"
+	"rescue/internal/core"
 	"rescue/internal/fab"
 	"rescue/internal/fault"
 	"rescue/internal/rtl"
+	"rescue/internal/uarch"
 )
 
 // FabOpts parameterizes the Monte Carlo die-lifecycle fleet — the
-// rescue-fab command surface. NodeNM must be one of area.Nodes()
-// (validated by ValidNode); zero values take the command's defaults.
+// rescue-fab command surface and, through its JSON names, the fab job's
+// params. NodeNM must be one of area.Nodes() (validated by ValidNode);
+// zero values take the command's defaults.
 type FabOpts struct {
-	Dies          int // 0 = 10000
-	NodeNM        int // 0 = 18
-	StagnateNM    int // 0 = 90
-	Growth        float64
-	GrowthSet     bool  // distinguishes an explicit 0 growth from the default 0.30
-	Seed          int64 // 0 = 2026
-	Workers       int
-	Small         bool
-	Bench         string // comma-separated; "" = all 23 — note rescue-fab defaults to "gzip"
-	BenchSet      bool
-	Warmup        int64 // 0 = 2000
-	Commit        int64 // 0 = 10000
-	SelfHealShare float64
-	Timing        bool
+	Dies          int     `json:"dies"`     // 0 = 10000
+	NodeNM        int     `json:"node"`     // 0 = 18
+	StagnateNM    int     `json:"stagnate"` // 0 = 90
+	Growth        float64 `json:"growth"`
+	GrowthSet     bool    `json:"-"`    // distinguishes an explicit 0 growth from the default 0.30
+	Seed          int64   `json:"seed"` // 0 = 2026
+	Workers       int     `json:"workers"`
+	Small         bool    `json:"small"`
+	Bench         string  `json:"bench"` // comma-separated; "" = all 23 — note rescue-fab defaults to "gzip"
+	BenchSet      bool    `json:"-"`
+	Warmup        int64   `json:"warmup"` // 0 = 2000
+	Commit        int64   `json:"commit"` // 0 = 10000
+	SelfHealShare float64 `json:"selfhealShare"`
+	Timing        bool    `json:"timing"`
 }
 
 func (o *FabOpts) setDefaults() {
@@ -95,62 +97,97 @@ func Fab(ctx context.Context, w io.Writer, o FabOpts, env Env) (FabResult, error
 		return res, fmt.Errorf("fab: negative growth rate %v", o.Growth)
 	}
 
-	start := time.Now()
-	s, err := env.System(o.Small, rtl.RescueDesign)
-	if err != nil {
-		return res, fmt.Errorf("build: %w", err)
-	}
-	if !s.Audit.OK() {
-		return res, fmt.Errorf("ICI audit failed: %d violations", len(s.Audit.Violations))
-	}
-	fmt.Fprintf(w, "built %s: %d gates, %d scan cells; ICI audit clean\n",
-		s.Design.N.Name, s.Design.N.NumGates(), s.Design.N.NumFFs())
-
-	gen := atpg.DefaultGenConfig()
-	gen.Workers = o.Workers
-	tp, err := env.TestProgram(ctx, s, o.Small, rtl.RescueDesign, gen)
-	if err != nil {
-		res.Stats = tp.Gen.Stats
-		return res, err
-	}
-	fmt.Fprintf(w, "ATPG: %d vectors, %.2f%% coverage\n", tp.Gen.Vectors, tp.Gen.Coverage*100)
-
 	var names []string
 	if o.Bench != "" {
 		names = strings.Split(o.Bench, ",")
-	}
-	pm, err := env.PerfModel(ctx, o.NodeNM, names, o.Warmup, o.Commit, o.Workers)
-	if err != nil {
-		return res, err
 	}
 	rescArea := area.Rescue()
 	if o.SelfHealShare > 0 {
 		rescArea = area.RescueSelfHeal(o.SelfHealShare)
 	}
-	base, resc := fab.ModelsFromPerf(pm, area.BaselineWithScan(), rescArea)
-	if o.Timing {
-		fmt.Fprintf(w, "degraded-IPC model: %d configurations x %d benchmarks (%s)\n",
-			len(resc.IPC), len(pm.Baseline), time.Since(start).Round(time.Millisecond))
-	} else {
-		fmt.Fprintf(w, "degraded-IPC model: %d configurations x %d benchmarks\n",
-			len(resc.IPC), len(pm.Baseline))
+	_, tp, rep, err := Fleet(ctx, w, FleetPlan{
+		Design: PaperDesign(o.Small, rtl.RescueDesign),
+		Perf: Perf{
+			Base: uarch.DefaultParams(), Rescue: uarch.RescueParams(),
+			Benches: names, Warmup: o.Warmup, Commit: o.Commit,
+		},
+		Area: rescArea,
+		Fab: fab.Config{
+			Dies: o.Dies, Node: node, Stagnate: area.Node(o.StagnateNM),
+			Growth: o.Growth, Seed: o.Seed, Workers: o.Workers,
+			SelfHealShare: o.SelfHealShare,
+		},
+		Timing: o.Timing,
+	}, env)
+	switch {
+	case rep != nil:
+		res.Report, res.Stats = rep, rep.Stats
+	case tp != nil:
+		res.Stats = tp.Gen.Stats
 	}
-
-	eng, err := fab.New(s, tp, base, resc, fab.Config{
-		Dies: o.Dies, Node: node, Stagnate: area.Node(o.StagnateNM),
-		Growth: o.Growth, Seed: o.Seed, Workers: o.Workers,
-		SelfHealShare: o.SelfHealShare,
-	})
-	if err != nil {
-		return res, err
-	}
-	rep, err := eng.Run(ctx, env.Ck)
-	res.Report = rep
-	res.Stats = rep.Stats
 	if err != nil {
 		return res, err
 	}
 	fmt.Fprintln(w)
 	rep.WriteText(w, o.Timing)
 	return res, nil
+}
+
+// FleetPlan is one run of the fleet pipeline: the design to build and
+// scan-test, the degraded-IPC model to measure, the Rescue area model,
+// and the fleet knobs. The perf model is measured at the fleet's node
+// (Fab.Node sets Perf.NodeNM), and Fab.Workers also sets the ATPG and
+// perf-model concurrency.
+type FleetPlan struct {
+	Design Design
+	Perf   Perf
+	Area   area.Model
+	Fab    fab.Config
+	Timing bool // append elapsed time to the degraded-IPC progress line
+}
+
+// Fleet is the fleet pipeline behind the paper's Figure 9 loop, shared by
+// the fab flow and every sweep point: build and ICI-audit the system,
+// generate its ATPG test set, build the degraded-IPC model, and run the
+// Monte Carlo fleet, every artifact through env's store. Progress lines
+// go to w. On error the values produced so far are returned — the
+// partial test program on an ATPG interrupt, the partial report on a
+// fleet interrupt.
+func Fleet(ctx context.Context, w io.Writer, p FleetPlan, env Env) (*core.System, *core.TestProgram, *fab.FleetReport, error) {
+	start := time.Now()
+	sys, err := env.System(p.Design)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("build: %w", err)
+	}
+	if !sys.Audit.OK() {
+		return sys, nil, nil, fmt.Errorf("ICI audit failed: %d violations", len(sys.Audit.Violations))
+	}
+	fmt.Fprintf(w, "built %s: %d gates, %d scan cells; ICI audit clean\n",
+		sys.Design.N.Name, sys.Design.N.NumGates(), sys.Design.N.NumFFs())
+
+	tp, err := env.TestProgram(ctx, p.Design, sys, defaultGen(p.Fab.Workers))
+	if err != nil {
+		return sys, tp, nil, err
+	}
+	fmt.Fprintf(w, "ATPG: %d vectors, %.2f%% coverage\n", tp.Gen.Vectors, tp.Gen.Coverage*100)
+
+	perf := p.Perf
+	perf.NodeNM = p.Fab.Node.NodeNM
+	pm, err := env.PerfModel(ctx, perf, p.Fab.Workers)
+	if err != nil {
+		return sys, tp, nil, err
+	}
+	base, resc := fab.ModelsFromPerf(pm, area.BaselineWithScan(), p.Area)
+	fmt.Fprintf(w, "degraded-IPC model: %d configurations x %d benchmarks", len(resc.IPC), len(pm.Baseline))
+	if p.Timing {
+		fmt.Fprintf(w, " (%s)", time.Since(start).Round(time.Millisecond))
+	}
+	fmt.Fprintln(w)
+
+	eng, err := fab.New(sys, tp, base, resc, p.Fab)
+	if err != nil {
+		return sys, tp, nil, err
+	}
+	rep, err := eng.Run(ctx, env.Ck)
+	return sys, tp, rep, err
 }

@@ -6,21 +6,21 @@ import (
 	"io"
 	"time"
 
-	"rescue/internal/atpg"
 	"rescue/internal/core"
 	"rescue/internal/fault"
 	"rescue/internal/rtl"
 )
 
 // IsolationOpts parameterizes the Section 6.1 isolation campaign — the
-// rescue-isolate command surface.
+// rescue-isolate command surface and, through its JSON names, the
+// isolation job's params.
 type IsolationOpts struct {
-	Small    bool
-	PerStage int   // 0 means the paper's 1000
-	Seed     int64 // 0 means the default seed 2005
-	Multi    bool
-	Workers  int
-	Timing   bool
+	Small    bool  `json:"small"`
+	PerStage int   `json:"perStage"` // 0 means the paper's 1000
+	Seed     int64 `json:"seed"`     // 0 means the default seed 2005
+	Multi    bool  `json:"multi"`
+	Workers  int   `json:"workers"`
+	Timing   bool  `json:"timing"`
 }
 
 func (o *IsolationOpts) setDefaults() {
@@ -49,7 +49,8 @@ func Isolation(ctx context.Context, w io.Writer, o IsolationOpts, env Env) (Isol
 	var res IsolationResult
 
 	start := time.Now()
-	s, err := env.System(o.Small, rtl.RescueDesign)
+	d := PaperDesign(o.Small, rtl.RescueDesign)
+	s, err := env.System(d)
 	if err != nil {
 		return res, fmt.Errorf("build: %w", err)
 	}
@@ -59,9 +60,7 @@ func Isolation(ctx context.Context, w io.Writer, o IsolationOpts, env Env) (Isol
 	fmt.Fprintf(w, "built %s: %d gates, %d scan cells; ICI audit clean\n",
 		s.Design.N.Name, s.Design.N.NumGates(), s.Design.N.NumFFs())
 
-	gen := atpg.DefaultGenConfig()
-	gen.Workers = o.Workers
-	tp, err := env.TestProgram(ctx, s, o.Small, rtl.RescueDesign, gen)
+	tp, err := env.TestProgram(ctx, d, s, defaultGen(o.Workers))
 	if err != nil {
 		res.Stats = tp.Gen.Stats
 		return res, err

@@ -6,20 +6,20 @@ import (
 	"io"
 	"time"
 
-	"rescue/internal/atpg"
 	"rescue/internal/core"
 	"rescue/internal/fault"
 	"rescue/internal/rtl"
 )
 
 // Table3Opts parameterizes the Table 3 (scan-chain data) flow — the
-// rescue-atpg command surface.
+// rescue-atpg command surface and, through its JSON names, the table3
+// job's params.
 type Table3Opts struct {
-	Small      bool
-	Seed       int64 // 0 means the default seed 1
-	Backtracks int   // 0 means the default 500
-	Workers    int
-	Timing     bool
+	Small      bool  `json:"small"`
+	Seed       int64 `json:"seed"`       // 0 means the default seed 1
+	Backtracks int   `json:"backtracks"` // 0 means the default 500
+	Workers    int   `json:"workers"`
+	Timing     bool  `json:"timing"`
 }
 
 func (o *Table3Opts) setDefaults() {
@@ -45,10 +45,9 @@ func Table3(ctx context.Context, w io.Writer, o Table3Opts, env Env) (Table3Resu
 	o.setDefaults()
 	var res Table3Result
 
-	gen := atpg.DefaultGenConfig()
+	gen := defaultGen(o.Workers)
 	gen.Seed = o.Seed
 	gen.MaxBacktracks = o.Backtracks
-	gen.Workers = o.Workers
 
 	fmt.Fprintln(w, "Table 3: Scan Chain data (paper: baseline 111294 faults / 2768 cells /")
 	fmt.Fprintln(w, "1911 vectors / 5272449 cycles; Rescue 113490 / 3334 / 1787 / 5959645;")
@@ -65,11 +64,12 @@ func Table3(ctx context.Context, w io.Writer, o Table3Opts, env Env) (Table3Resu
 
 	for _, v := range []rtl.Variant{rtl.Baseline, rtl.RescueDesign} {
 		start := time.Now()
-		s, err := env.System(o.Small, v)
+		d := PaperDesign(o.Small, v)
+		s, err := env.System(d)
 		if err != nil {
 			return res, fmt.Errorf("build: %w", err)
 		}
-		tp, err := env.TestProgram(ctx, s, o.Small, v, gen)
+		tp, err := env.TestProgram(ctx, d, s, gen)
 		if err != nil {
 			res.Stats = tp.Gen.Stats
 			return res, err

@@ -9,17 +9,19 @@ import (
 
 	"rescue/internal/area"
 	"rescue/internal/core"
+	"rescue/internal/uarch"
 )
 
 // YATOpts parameterizes the Figure 9 yield-adjusted-throughput study — the
-// rescue-yat command surface.
+// rescue-yat command surface and, through its JSON names, the yat job's
+// params.
 type YATOpts struct {
-	StagnateNM int    // 0 = 90
-	Bench      string // comma-separated; "" = all 23
-	Warmup     int64  // 0 = 20000
-	Commit     int64  // 0 = 150000
-	Workers    int
-	Timing     bool // print per-node model build durations
+	StagnateNM int    `json:"stagnate"` // 0 = 90
+	Bench      string `json:"bench"`    // comma-separated; "" = all 23
+	Warmup     int64  `json:"warmup"`   // 0 = 20000
+	Commit     int64  `json:"commit"`   // 0 = 150000
+	Workers    int    `json:"workers"`
+	Timing     bool   `json:"timing"` // print per-node model build durations
 }
 
 func (o *YATOpts) setDefaults() {
@@ -55,7 +57,10 @@ func YAT(ctx context.Context, w io.Writer, o YATOpts, env Env) (YATResult, error
 	models := map[int]*core.PerfModel{}
 	for _, node := range area.Nodes() {
 		start := time.Now()
-		pm, err := env.PerfModel(ctx, node.NodeNM, names, o.Warmup, o.Commit, o.Workers)
+		pm, err := env.PerfModel(ctx, Perf{
+			Base: uarch.DefaultParams(), Rescue: uarch.RescueParams(),
+			NodeNM: node.NodeNM, Benches: names, Warmup: o.Warmup, Commit: o.Commit,
+		}, o.Workers)
 		if err != nil {
 			return res, err
 		}

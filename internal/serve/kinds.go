@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"reflect"
 
 	"rescue/internal/flows"
 )
@@ -44,157 +45,42 @@ func decode(params json.RawMessage, into any) error {
 	return nil
 }
 
-func pick(jobWorkers, serverWorkers int) int {
-	if jobWorkers > 0 {
-		return jobWorkers
-	}
-	return serverWorkers
-}
-
 // Kinds returns the built-in job kinds. Reports default to timing-free
 // output (the deterministic, golden-diffable form); a job may opt into
 // timings with "timing": true.
 func Kinds() map[string]Runner {
 	return map[string]Runner{
-		"table3":    runTable3,
-		"dict":      runDict,
-		"isolation": runIsolation,
-		"yat":       runYAT,
-		"fab":       runFab,
+		"table3":    flowRunner(flows.Table3),
+		"dict":      flowRunner(dictCSV),
+		"isolation": flowRunner(flows.Isolation),
+		"yat":       flowRunner(flows.YAT),
+		"fab":       flowRunner(flows.Fab),
 		"sweep":     runSweep,
 	}
 }
 
-type table3Params struct {
-	Small      bool  `json:"small"`
-	Seed       int64 `json:"seed"`
-	Backtracks int   `json:"backtracks"`
-	Workers    int   `json:"workers"`
-	Timing     bool  `json:"timing"`
-}
-
-func runTable3(ctx context.Context, rc RunContext, params json.RawMessage) ([]byte, error) {
-	var p table3Params
-	if err := decode(params, &p); err != nil {
-		return nil, err
+// flowRunner serves a flow as a job kind. Params decode strictly into
+// the flow's own options struct — its JSON names are the wire format — a
+// job that names no workers takes the server default, and the report is
+// exactly what the flow writes.
+func flowRunner[O, R any](flow func(context.Context, io.Writer, O, flows.Env) (R, error)) Runner {
+	return func(ctx context.Context, rc RunContext, params json.RawMessage) ([]byte, error) {
+		var o O
+		if err := decode(params, &o); err != nil {
+			return nil, err
+		}
+		// Every flow's options carry a Workers field.
+		if w := reflect.ValueOf(&o).Elem().FieldByName("Workers"); w.Int() <= 0 {
+			w.SetInt(int64(rc.Workers))
+		}
+		var buf bytes.Buffer
+		_, err := flow(ctx, &buf, o, rc.Env)
+		return buf.Bytes(), err
 	}
-	var buf bytes.Buffer
-	_, err := flows.Table3(ctx, &buf, flows.Table3Opts{
-		Small:      p.Small,
-		Seed:       p.Seed,
-		Backtracks: p.Backtracks,
-		Workers:    pick(p.Workers, rc.Workers),
-		Timing:     p.Timing,
-	}, rc.Env)
-	return buf.Bytes(), err
 }
 
-type dictParams struct {
-	Small   bool `json:"small"`
-	Workers int  `json:"workers"`
-}
-
-func runDict(ctx context.Context, rc RunContext, params json.RawMessage) ([]byte, error) {
-	var p dictParams
-	if err := decode(params, &p); err != nil {
-		return nil, err
-	}
-	// The CSV is the artifact; the build commentary goes nowhere (clients
-	// watch the event stream instead).
-	var buf bytes.Buffer
-	_, err := flows.DictBuild(ctx, io.Discard, &buf, flows.DictOpts{
-		Small:   p.Small,
-		Workers: pick(p.Workers, rc.Workers),
-	}, rc.Env)
-	return buf.Bytes(), err
-}
-
-type isolationParams struct {
-	Small    bool  `json:"small"`
-	PerStage int   `json:"perStage"`
-	Seed     int64 `json:"seed"`
-	Multi    bool  `json:"multi"`
-	Workers  int   `json:"workers"`
-	Timing   bool  `json:"timing"`
-}
-
-func runIsolation(ctx context.Context, rc RunContext, params json.RawMessage) ([]byte, error) {
-	var p isolationParams
-	if err := decode(params, &p); err != nil {
-		return nil, err
-	}
-	var buf bytes.Buffer
-	_, err := flows.Isolation(ctx, &buf, flows.IsolationOpts{
-		Small:    p.Small,
-		PerStage: p.PerStage,
-		Seed:     p.Seed,
-		Multi:    p.Multi,
-		Workers:  pick(p.Workers, rc.Workers),
-		Timing:   p.Timing,
-	}, rc.Env)
-	return buf.Bytes(), err
-}
-
-type yatParams struct {
-	Stagnate int    `json:"stagnate"`
-	Bench    string `json:"bench"`
-	Warmup   int64  `json:"warmup"`
-	Commit   int64  `json:"commit"`
-	Workers  int    `json:"workers"`
-	Timing   bool   `json:"timing"`
-}
-
-func runYAT(ctx context.Context, rc RunContext, params json.RawMessage) ([]byte, error) {
-	var p yatParams
-	if err := decode(params, &p); err != nil {
-		return nil, err
-	}
-	var buf bytes.Buffer
-	_, err := flows.YAT(ctx, &buf, flows.YATOpts{
-		StagnateNM: p.Stagnate,
-		Bench:      p.Bench,
-		Warmup:     p.Warmup,
-		Commit:     p.Commit,
-		Workers:    pick(p.Workers, rc.Workers),
-		Timing:     p.Timing,
-	}, rc.Env)
-	return buf.Bytes(), err
-}
-
-type fabParams struct {
-	Dies          int     `json:"dies"`
-	Node          int     `json:"node"`
-	Stagnate      int     `json:"stagnate"`
-	Growth        float64 `json:"growth"`
-	Seed          int64   `json:"seed"`
-	Small         bool    `json:"small"`
-	Bench         string  `json:"bench"`
-	Warmup        int64   `json:"warmup"`
-	Commit        int64   `json:"commit"`
-	SelfHealShare float64 `json:"selfhealShare"`
-	Workers       int     `json:"workers"`
-	Timing        bool    `json:"timing"`
-}
-
-func runFab(ctx context.Context, rc RunContext, params json.RawMessage) ([]byte, error) {
-	var p fabParams
-	if err := decode(params, &p); err != nil {
-		return nil, err
-	}
-	var buf bytes.Buffer
-	_, err := flows.Fab(ctx, &buf, flows.FabOpts{
-		Dies:          p.Dies,
-		NodeNM:        p.Node,
-		StagnateNM:    p.Stagnate,
-		Growth:        p.Growth,
-		Seed:          p.Seed,
-		Workers:       pick(p.Workers, rc.Workers),
-		Small:         p.Small,
-		Bench:         p.Bench,
-		Warmup:        p.Warmup,
-		Commit:        p.Commit,
-		SelfHealShare: p.SelfHealShare,
-		Timing:        p.Timing,
-	}, rc.Env)
-	return buf.Bytes(), err
+// dictCSV is the dict kind's flow: the CSV is the artifact; the build
+// commentary goes nowhere (clients watch the event stream instead).
+func dictCSV(ctx context.Context, w io.Writer, o flows.DictOpts, env flows.Env) (flows.DictResult, error) {
+	return flows.DictBuild(ctx, io.Discard, w, o, env)
 }

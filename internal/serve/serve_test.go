@@ -36,7 +36,7 @@ func testKinds(release chan struct{}) map[string]serve.Runner {
 		}
 	}
 	kinds["system"] = func(ctx context.Context, rc serve.RunContext, _ json.RawMessage) ([]byte, error) {
-		s, err := rc.Env.System(true, rtl.RescueDesign)
+		s, err := rc.Env.System(flows.PaperDesign(true, rtl.RescueDesign))
 		if err != nil {
 			return nil, err
 		}
@@ -303,7 +303,7 @@ func TestServeSingleflight(t *testing.T) {
 	if !bytes.Equal(outA, outB) {
 		t.Fatalf("shared-artifact jobs disagree: %q vs %q", outA, outB)
 	}
-	if builds := s.srv.Store().Builds(); builds != 1 {
+	if builds := s.srv.Store().Misses(); builds != 1 {
 		t.Fatalf("system artifact built %d times across two jobs, want 1", builds)
 	}
 	if hits := s.srv.Store().Hits(); hits != 1 {

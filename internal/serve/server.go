@@ -221,7 +221,6 @@ func New(cfg Config) *Server {
 	cfg.Reg.RegisterFunc("scheduler_slots", func() float64 { return float64(s.cfg.Slots) })
 	cfg.Reg.RegisterFunc("artifact_cache_hits_total", func() float64 { return float64(s.store.Hits()) })
 	cfg.Reg.RegisterFunc("artifact_cache_misses_total", func() float64 { return float64(s.store.Misses()) })
-	cfg.Reg.RegisterFunc("artifact_cache_builds_total", func() float64 { return float64(s.store.Builds()) })
 	cfg.Reg.RegisterFunc("artifact_cache_entries", func() float64 { return float64(s.store.Len()) })
 	for i := 0; i < cfg.Slots; i++ {
 		s.wg.Add(1)

@@ -44,10 +44,10 @@ func runSweep(ctx context.Context, rc RunContext, params json.RawMessage) ([]byt
 	if err := decode(params, &spec); err != nil {
 		return nil, err
 	}
-	o := sweep.Options{
-		Env:     flows.Env{Store: rc.Env.Store},
-		Workers: pick(spec.Workers, rc.Workers),
+	if spec.Workers <= 0 {
+		spec.Workers = rc.Workers
 	}
+	o := sweep.Options{Env: flows.Env{Store: rc.Env.Store}}
 	j := jobFromContext(ctx)
 	if j != nil {
 		ctl := sweep.NewControl()

@@ -7,13 +7,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 
 	"rescue/internal/area"
-	"rescue/internal/atpg"
 	"rescue/internal/fab"
 	"rescue/internal/fault"
 	"rescue/internal/flows"
@@ -440,58 +440,37 @@ func runPointRemote(ctx context.Context, spec Spec, pt Point, o Options) (PointR
 	return r, nil
 }
 
-// runPointLocal evaluates one point against the artifact store: build the
-// variant's system, generate tests, build the perf model, run the fab
-// fleet, and assemble the result row.
+// runPointLocal evaluates one point through the flows fleet pipeline —
+// the same system, ATPG, perf-model and fleet steps a fab job runs, over
+// the same artifact store — and assembles the result row.
 func runPointLocal(ctx context.Context, spec Spec, pt Point, env flows.Env, ck *fault.Checkpoint, workers int) (PointResult, error) {
 	env.Ck = ck
 	v := pt.Variant
-	netKey := v.NetlistKey()
-
-	sys, err := env.SystemAt(netKey, v.Netlist, v.ScanChains, rtl.RescueDesign)
-	if err != nil {
-		return PointResult{}, fmt.Errorf("build: %w", err)
-	}
-	if !sys.Audit.OK() {
-		return PointResult{}, fmt.Errorf("ICI audit failed: %d violations", len(sys.Audit.Violations))
-	}
-
-	gen := atpg.DefaultGenConfig()
-	gen.Workers = workers
-	tp, err := env.TestProgramAt(ctx, netKey, sys, gen)
-	if err != nil {
-		return PointResult{}, err
-	}
-
-	var names []string
-	if spec.Bench != "" {
-		names = strings.Split(spec.Bench, ",")
-	}
-	base := v.Perf.BaselineParams()
 	resc, err := v.Perf.RescueParams()
 	if err != nil {
 		return PointResult{}, err
 	}
-	pm, err := env.PerfModelAt(ctx, v.PerfKey(), pt.NodeNM, names, spec.Warmup, spec.Commit, workers, base, resc)
-	if err != nil {
-		return PointResult{}, err
-	}
-
 	node, ok := flows.ValidNode(pt.NodeNM)
 	if !ok {
 		return PointResult{}, fmt.Errorf("sweep: unsupported node %dnm", pt.NodeNM)
 	}
-	rescArea := v.AreaModel(pt.SelfHealShare)
-	baseCM, rescCM := fab.ModelsFromPerf(pm, area.BaselineWithScan(), rescArea)
-	eng, err := fab.New(sys, tp, baseCM, rescCM, fab.Config{
-		Dies: spec.Dies, Node: node, Stagnate: area.Node(pt.StagnateNM),
-		Growth: spec.Growth, Seed: spec.Seed, Workers: workers,
-		SelfHealShare: pt.SelfHealShare,
-	})
-	if err != nil {
-		return PointResult{}, err
+	var names []string
+	if spec.Bench != "" {
+		names = strings.Split(spec.Bench, ",")
 	}
-	rep, err := eng.Run(ctx, ck)
+	sys, tp, rep, err := flows.Fleet(ctx, io.Discard, flows.FleetPlan{
+		Design: flows.Design{Config: v.Netlist, Chains: v.ScanChains, Variant: rtl.RescueDesign},
+		Perf: flows.Perf{
+			Base: v.Perf.BaselineParams(), Rescue: resc,
+			Benches: names, Warmup: spec.Warmup, Commit: spec.Commit,
+		},
+		Area: v.AreaModel(pt.SelfHealShare),
+		Fab: fab.Config{
+			Dies: spec.Dies, Node: node, Stagnate: area.Node(pt.StagnateNM),
+			Growth: spec.Growth, Seed: spec.Seed, Workers: workers,
+			SelfHealShare: pt.SelfHealShare,
+		},
+	}, env)
 	if err != nil {
 		return PointResult{}, err
 	}

@@ -3,6 +3,7 @@ package sweep
 import (
 	"bytes"
 	"context"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -274,43 +275,64 @@ func TestStoreSharing(t *testing.T) {
 	// Shared prefixes build exactly once: 1 system + 1 test program for
 	// the single variant, plus one perf model per node (stagnation and
 	// self-heal axes reuse everything).
-	if got, want := store.Builds(), int64(1+1+2); got != want {
+	if got, want := store.Misses(), int64(1+1+2); got != want {
 		t.Errorf("store builds = %d, want %d (1 system + 1 ATPG + 2 perf models)", got, want)
 	}
 
-	// Same variant again → the same artifact instance; a different
-	// variant (scan split) → a different artifact under its own key.
+	// Same design again → the same artifact instance; a different design
+	// (scan split) → a different artifact under its own key.
 	env := flows.Env{Store: store}
 	pts, err := spec.Expand()
 	if err != nil {
 		t.Fatal(err)
 	}
 	v := pts[0].Variant
-	s1, err := env.SystemAt(v.NetlistKey(), v.Netlist, v.ScanChains, rtl.RescueDesign)
+	d := flows.Design{Config: v.Netlist, Chains: v.ScanChains, Variant: rtl.RescueDesign}
+	s1, err := env.System(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, _ := env.SystemAt(v.NetlistKey(), v.Netlist, v.ScanChains, rtl.RescueDesign)
+	s2, _ := env.System(d)
 	if s1 != s2 {
-		t.Fatal("same netlist key built twice")
+		t.Fatal("same design built twice")
 	}
-	if got := store.Builds(); got != 4 {
-		t.Errorf("warm SystemAt calls triggered builds: %d", got)
+	if got := store.Misses(); got != 4 {
+		t.Errorf("warm System calls triggered builds: %d", got)
 	}
-	split := v
-	split.ScanChains = 4
-	if split.NetlistKey() == v.NetlistKey() {
-		t.Fatal("different scan split must change the netlist key")
-	}
-	s3, err := env.SystemAt(split.NetlistKey(), split.Netlist, split.ScanChains, rtl.RescueDesign)
+	split := d
+	split.Chains = 4
+	s3, err := env.System(split)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s3 == s1 {
-		t.Fatal("different variants collided in the store")
+		t.Fatal("different designs collided in the store")
 	}
 	if s3.Chain.NumChains != 4 {
-		t.Fatalf("variant build ignored the scan split: %d chains", s3.Chain.NumChains)
+		t.Fatalf("design build ignored the scan split: %d chains", s3.Chain.NumChains)
+	}
+}
+
+// TestFabAndPaperPointShareArtifacts: a fab job and the paper sweep point
+// over the same configuration describe the same design and simulator
+// pair, so once the fab job has run, the point builds nothing new — its
+// system, test program and perf model all come from the store.
+func TestFabAndPaperPointShareArtifacts(t *testing.T) {
+	store := flows.NewStore()
+	env := flows.Env{Store: store}
+	if _, err := flows.Fab(context.Background(), io.Discard, flows.FabOpts{
+		Dies: 60, Small: true, Warmup: 200, Commit: 1000,
+	}, env); err != nil {
+		t.Fatal(err)
+	}
+	built := store.Misses()
+
+	spec := Spec{Presets: []string{"paper"}, Small: true, Dies: 60, Warmup: 200, Commit: 1000}
+	if _, err := Run(context.Background(), spec, Options{Env: env}); err != nil {
+		t.Fatal(err)
+	}
+	if got := store.Misses(); got != built {
+		t.Fatalf("paper point built %d artifacts the fab job already had", got-built)
 	}
 }
 
