@@ -55,14 +55,10 @@ func runIPC(p uarch.Params, prof workload.Profile, warmup, commit int64) (float6
 	return s.Run(warmup, commit).IPC(), nil
 }
 
-// parallelMap runs jobs across workers goroutines (<= 0 = all CPUs).
-func parallelMap(n, workers int, f func(i int)) {
-	parallelMapCtx(context.Background(), n, workers, f)
-}
-
-// parallelMapCtx is parallelMap with cooperative cancellation at job
-// granularity: once ctx is done no new jobs are dispatched, in-flight
-// jobs finish, and the context's cause is returned.
+// parallelMapCtx runs jobs across workers goroutines (<= 0 = all CPUs)
+// with cooperative cancellation at job granularity: once ctx is done no
+// new jobs are dispatched, in-flight jobs finish, and the context's cause
+// is returned.
 func parallelMapCtx(ctx context.Context, n, workers int, f func(i int)) error {
 	if workers <= 0 {
 		workers = runtime.NumCPU()

@@ -970,28 +970,3 @@ func finalizeWord(res *Result, failsStart, obsStart int) {
 		sort.Ints(obsSeg)
 	}
 }
-
-// DetectAll runs detection-only simulation for a list of faults and
-// returns a bitmap of which were detected by the pattern set.
-func (s *Sim) DetectAll(faults []netlist.Fault) []bool {
-	out := make([]bool, len(faults))
-	for i, f := range faults {
-		out[i] = s.Run(f, 1).Detected
-	}
-	return out
-}
-
-// Coverage reports the fraction of the given faults detected.
-func (s *Sim) Coverage(faults []netlist.Fault) float64 {
-	if len(faults) == 0 {
-		return 1
-	}
-	det := s.DetectAll(faults)
-	n := 0
-	for _, d := range det {
-		if d {
-			n++
-		}
-	}
-	return float64(n) / float64(len(faults))
-}

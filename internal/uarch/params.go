@@ -74,7 +74,7 @@ func (e *DegradedError) Error() string {
 }
 
 // Validate rejects impossible degraded shapes. Counts of 2 are legal —
-// they describe a dead-but-representable configuration (Dead reports it,
+// they describe a dead-but-describable configuration (Dead reports it,
 // MapOut refuses to ship it) — but 3+ halves of a two-half queue, or a
 // negative count, cannot describe any die and used to be silently clamped
 // or to panic deep in the simulator.
@@ -134,10 +134,10 @@ type Params struct {
 	// (1 baseline; Rescue adds one for the issue->regread shift stage).
 	SquashWindow int
 
-	// Technology scaling (Section 5): each halving step adds 2 cycles of
-	// misprediction penalty and multiplies memory latency by 1.5.
+	// Technology scaling (Section 5): each halving step multiplies memory
+	// latency by 1.5 (and adds 2 cycles of misprediction penalty, which the
+	// caller folds into FrontendDepth).
 	MemLatencyScale float64
-	ExtraMispred    int
 
 	// Self-healing BTB extension (related-work integration): fraction of
 	// BTB entries defective, tolerated by detect-and-avoid with the given

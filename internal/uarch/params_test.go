@@ -42,7 +42,7 @@ func TestDegradedValidate(t *testing.T) {
 			{-1, false}, // negative counts describe nothing
 			{0, true},   // pristine
 			{1, true},   // half lost — the paper's degraded modes
-			{2, true},   // both lost: dead but representable (Dead() == true)
+			{2, true},   // both lost: dead but describable (Dead() == true)
 			{3, false},  // more halves down than exist
 			{100, false},
 		} {
@@ -78,7 +78,7 @@ func TestParamsValidateDegraded(t *testing.T) {
 	p = RescueParams()
 	p.Degr.IntIQHalvesDown = 2 // dead but valid
 	if err := p.Validate(); err != nil {
-		t.Fatalf("rescue with a dead-but-representable shape: %v", err)
+		t.Fatalf("rescue with a dead-but-describable shape: %v", err)
 	}
 	if !p.Degr.Dead() {
 		t.Fatal("IntIQHalvesDown=2 should report Dead")

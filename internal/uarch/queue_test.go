@@ -31,9 +31,7 @@ func addEntry(s *Sim, class isa.Class) int {
 	s.rob[rob] = robEntry{
 		inst:    isa.Inst{Class: class},
 		seq:     s.seq,
-		state:   inQueue,
-		present: true, resultReady: 0,
-		src1Rob: -1, src2Rob: -1, lsqIdx: -1,
+		src1Rob: -1, src2Rob: -1,
 	}
 	s.intQ.insert(rob)
 	return rob

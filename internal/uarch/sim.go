@@ -12,32 +12,28 @@ import (
 
 const never = math.MaxInt64 / 4
 
-// robState tracks an instruction's progress.
-type robState uint8
+// wedgeCycles bounds the cycles Run waits for a commit before it declares
+// the machine wedged. The longest legitimate gap is a few memory latencies
+// (250 cycles, x1.5 per technology halving), far below this.
+const wedgeCycles = 1 << 20
 
-const (
-	inQueue robState = iota // dispatched, waiting in an issue queue
-	issued                  // selected, executing
-	done                    // result produced, awaiting commit
-)
-
+// robEntry is one in-flight instruction. An entry is in flight while its
+// seq is above Sim.retired (commit is in order and nothing flushes the
+// ROB), and an issued entry has executed from the cycle after its
+// doneCycle.
 type robEntry struct {
-	inst  isa.Inst
-	seq   int64
-	state robState
+	inst   isa.Inst
+	seq    int64
+	issued bool // selected from its issue queue; cleared by a shadow squash
 
 	// producer links with sequence guards: a ROB slot may be recycled, so
-	// a link is live only while the slot still holds the same seq
+	// a link is live only while its seq is still in flight
 	src1Rob, src2Rob int
 	src1Seq, src2Seq int64
 	resultReady      int64 // cycle the result is available to consumers
 	issueCycle       int64
 	doneCycle        int64
 	dataPend         bool // store issued before its data producer; commit re-checks
-
-	lsqIdx  int // index in LSQ order, -1 if not a memory op
-	fp      bool
-	present bool
 }
 
 // halfQueue is one issue-queue half: rob indices, oldest first.
@@ -100,7 +96,6 @@ type Stats struct {
 	ReplayEvents int64
 	MissSquashes int64 // instructions squashed by L1-miss shadow
 	L1DMisses    int64
-	L2Misses     int64
 	BranchCount  int64
 	BTBRedirects int64
 }
@@ -125,6 +120,7 @@ type Sim struct {
 	rob                        []robEntry
 	robHead, robTail, robCount int
 	seq                        int64
+	retired                    int64 // seq of the last committed instruction
 
 	intQ, fpQ *iq
 
@@ -244,34 +240,35 @@ func NewFromSource(p Params, src Source) (*Sim, error) {
 func (s *Sim) Run(warmup, commit int64) Stats {
 	target := warmup
 	warm := true
+	retired, retiredAt := s.retired, s.now
 	for {
 		s.cycle()
 		if warm && s.stats.Committed >= target {
 			// reset stats, keep microarchitectural state
-			c := s.stats.Committed
 			s.stats = Stats{}
-			_ = c
 			warm = false
 			target = commit
 		}
 		if !warm && s.stats.Committed >= target {
 			return s.stats
 		}
-		if s.now > never/2 {
-			panic("uarch: simulation wedged")
+		if s.retired != retired {
+			retired, retiredAt = s.retired, s.now
+		} else if s.now-retiredAt > wedgeCycles {
+			panic(fmt.Sprintf("uarch: simulation wedged: no commit in %d cycles", wedgeCycles))
 		}
 	}
 }
 
-// cycle advances one clock: commit, complete, issue, queue maintenance,
-// dispatch, fetch (reverse pipeline order so each stage sees last-cycle
-// state of its upstream).
+// cycle advances one clock: commit, branch resolution, issue, queue
+// maintenance, dispatch, fetch (reverse pipeline order so each stage sees
+// last-cycle state of its upstream).
 func (s *Sim) cycle() {
 	s.now++
 	s.stats.Cycles++
 	s.occ.sample(s.intQ.size(), s.fpQ.size(), len(s.lsq), s.robCount)
 	s.commit()
-	s.complete()
+	s.resolveBranch()
 	s.issue()
 	s.queueMaint()
 	s.dispatch()
@@ -286,8 +283,8 @@ func (s *Sim) commit() {
 			return
 		}
 		e := &s.rob[s.robHead]
-		if e.state != done || e.doneCycle > s.now {
-			return
+		if !e.issued || e.doneCycle >= s.now {
+			return // executes through its doneCycle; commit the cycle after
 		}
 		if e.dataPend && !s.srcReady(e.src2Rob, e.src2Seq) {
 			return // store data not yet produced
@@ -309,36 +306,27 @@ func (s *Sim) commit() {
 		if d := e.inst.Dest; d != isa.RegNone && s.producer[d] == s.robHead {
 			s.producer[d] = -1
 		}
-		e.present = false
+		s.retired = e.seq
 		s.robHead = (s.robHead + 1) % len(s.rob)
 		s.robCount--
 		s.stats.Committed++
 	}
 }
 
-// ---- complete (writeback) ----
+// ---- branch resolution ----
 
-func (s *Sim) complete() {
-	// resolution of the stalled mispredicted branch
-	if s.waitBranch >= 0 {
-		e := &s.rob[s.waitBranch]
-		if e.present && e.state != inQueue && e.doneCycle <= s.now {
-			// redirect: fetch resumes (refill then costs FrontendDepth)
-			s.fetchStallTill = s.now
-			s.waitBranch = -1
-			s.mispredInFlight = false
-		}
+// resolveBranch redirects fetch once the stalled mispredicted branch has
+// executed. The branch cannot commit first: commit waits a cycle past its
+// doneCycle.
+func (s *Sim) resolveBranch() {
+	if s.waitBranch < 0 {
+		return
 	}
-	// mark issued instructions whose execution finished
-	// (scan ROB: sizes are small enough that this beats event queues for
-	// clarity; the hot loop is bounded by ROBSize)
-	idx := s.robHead
-	for n := 0; n < s.robCount; n++ {
-		e := &s.rob[idx]
-		if e.present && e.state == issued && e.doneCycle <= s.now {
-			e.state = done
-		}
-		idx = (idx + 1) % len(s.rob)
+	if e := &s.rob[s.waitBranch]; e.issued && e.doneCycle <= s.now {
+		// redirect: fetch resumes (refill then costs FrontendDepth)
+		s.fetchStallTill = s.now
+		s.waitBranch = -1
+		s.mispredInFlight = false
 	}
 }
 
@@ -394,14 +382,10 @@ func (b *fuBudget) take(c isa.Class) bool {
 
 // srcReady reports whether a guarded producer link has produced its value.
 func (s *Sim) srcReady(p int, seq int64) bool {
-	if p < 0 {
-		return true
-	}
-	pe := &s.rob[p]
-	if !pe.present || pe.seq != seq {
+	if p < 0 || seq <= s.retired {
 		return true // producer committed: value lives in the register file
 	}
-	return pe.resultReady <= s.now
+	return s.rob[p].resultReady <= s.now
 }
 
 // ready reports whether entry rob may be selected this cycle. Stores issue
@@ -430,13 +414,7 @@ func (s *Sim) loadMayIssue(rob int) bool {
 			break
 		}
 		se := &s.rob[r]
-		if !se.present || se.inst.Class != isa.Store {
-			continue
-		}
-		if se.seq >= e.seq {
-			continue
-		}
-		if se.state == inQueue {
+		if se.inst.Class == isa.Store && se.seq < e.seq && !se.issued {
 			return false // address unknown
 		}
 	}
@@ -452,7 +430,7 @@ func (s *Sim) loadForwards(rob int) bool {
 			break
 		}
 		se := &s.rob[r]
-		if se.present && se.inst.Class == isa.Store && se.seq < e.seq &&
+		if se.inst.Class == isa.Store && se.seq < e.seq &&
 			se.inst.Addr/8 == e.inst.Addr/8 {
 			return true
 		}
@@ -469,7 +447,7 @@ func (s *Sim) selectHalf(h *halfQueue, width int, budget *fuBudget) []int {
 			break
 		}
 		e := &s.rob[rob]
-		if e.state != inQueue || !s.ready(rob) {
+		if e.issued || !s.ready(rob) {
 			continue
 		}
 		if !budget.take(e.inst.Class) {
@@ -488,14 +466,14 @@ func (s *Sim) issue() {
 	if len(s.missFix) > 0 {
 		kept := s.missFix[:0]
 		for _, ev := range s.missFix {
-			e := &s.rob[ev.rob]
-			if !e.present || e.seq != ev.seq {
-				continue // load squashed/committed meanwhile
+			if ev.seq <= s.retired {
+				continue // load committed meanwhile
 			}
 			if ev.fixCycle > s.now {
 				kept = append(kept, ev)
 				continue
 			}
+			e := &s.rob[ev.rob]
 			e.resultReady = ev.trueReady
 			e.doneCycle = ev.trueReady
 			s.squashShadow(ev.rob)
@@ -598,7 +576,7 @@ func mergeByAge(s *Sim, a, b []int) []int {
 
 func (s *Sim) issueOne(rob int) {
 	e := &s.rob[rob]
-	e.state = issued
+	e.issued = true
 	e.issueCycle = s.now
 	lat := e.inst.Class.Latency()
 	missDone := int64(-1)
@@ -664,13 +642,8 @@ func (s *Sim) issueOne(rob int) {
 func (s *Sim) squashShadow(loadRob int) {
 	squashed := map[int]bool{loadRob: true}
 	depends := func(e *robEntry) bool {
-		if e.src1Rob >= 0 && squashed[e.src1Rob] && s.rob[e.src1Rob].present && s.rob[e.src1Rob].seq == e.src1Seq {
-			return true
-		}
-		if e.src2Rob >= 0 && squashed[e.src2Rob] && s.rob[e.src2Rob].present && s.rob[e.src2Rob].seq == e.src2Seq {
-			return true
-		}
-		return false
+		return e.src1Rob >= 0 && squashed[e.src1Rob] && e.src1Seq > s.retired ||
+			e.src2Rob >= 0 && squashed[e.src2Rob] && e.src2Seq > s.retired
 	}
 	for back := s.P.SquashWindow; back >= 0; back-- {
 		c := s.now - int64(back)
@@ -680,7 +653,9 @@ func (s *Sim) squashShadow(loadRob int) {
 		lst := s.issueLog[int(c)%len(s.issueLog)]
 		for _, rob := range lst {
 			e := &s.rob[rob]
-			if !e.present || e.state != issued || e.issueCycle != c || rob == loadRob {
+			// skip entries squashed, executed (committed ones included) or
+			// recycled since
+			if !e.issued || e.doneCycle <= s.now || e.issueCycle != c || rob == loadRob {
 				continue
 			}
 			if e.inst.Class.IsMem() || e.inst.Class == isa.Branch {
@@ -690,7 +665,7 @@ func (s *Sim) squashShadow(loadRob int) {
 				continue
 			}
 			squashed[rob] = true
-			e.state = inQueue
+			e.issued = false
 			e.resultReady = never
 			s.stats.MissSquashes++
 		}
@@ -708,18 +683,17 @@ func (s *Sim) queueMaint() {
 	}
 }
 
-// cleanQueue removes issued entries whose hold window has elapsed.
+// cleanQueue removes issued entries whose hold window has elapsed, and
+// entries that committed within it. The compaction buffer needs no
+// cleaning: nothing issues from it.
 func (s *Sim) cleanQueue(q *iq) {
 	hold := int64(s.P.SquashWindow)
 	rm := func(h *halfQueue) {
 		out := h.entries[:0]
 		for _, rob := range h.entries {
 			e := &s.rob[rob]
-			if e.present && e.state != inQueue && s.now-e.issueCycle >= hold {
+			if e.seq <= s.retired || e.issued && s.now-e.issueCycle >= hold {
 				continue // entry leaves the queue
-			}
-			if !e.present {
-				continue
 			}
 			out = append(out, rob)
 		}
@@ -727,13 +701,6 @@ func (s *Sim) cleanQueue(q *iq) {
 	}
 	rm(&q.old)
 	rm(&q.new)
-	outb := q.buf[:0]
-	for _, rob := range q.buf {
-		if s.rob[rob].present {
-			outb = append(outb, rob)
-		}
-	}
-	q.buf = outb
 }
 
 // compact performs the cycle-split inter-segment movement: buffer contents
@@ -755,7 +722,7 @@ func (s *Sim) compact(q *iq) {
 			// only move entries that are still waiting (issued ones must
 			// stay put for their hold window)
 			rob := q.new.entries[0]
-			if s.rob[rob].state != inQueue {
+			if s.rob[rob].issued {
 				break
 			}
 			q.buf = append(q.buf, rob)
@@ -782,7 +749,6 @@ func (s *Sim) dispatch() {
 			return
 		}
 		inst := f.inst
-		fp := inst.Class.IsFP()
 		var q *iq
 		switch {
 		case inst.Class.IsMem():
@@ -791,7 +757,7 @@ func (s *Sim) dispatch() {
 				s.occ.DispatchStallLSQ++
 				return
 			}
-		case fp:
+		case inst.Class.IsFP():
 			q = s.fpQ
 		default:
 			q = s.intQ
@@ -806,16 +772,16 @@ func (s *Sim) dispatch() {
 		s.robCount++
 		s.seq++
 		e := &s.rob[rob]
-		*e = robEntry{inst: inst, seq: s.seq, state: inQueue,
-			resultReady: never, lsqIdx: -1, fp: fp, present: true,
+		*e = robEntry{inst: inst, seq: s.seq, resultReady: never,
 			src1Rob: -1, src2Rob: -1}
+		// producer holds only in-flight writers: commit clears its own slot
 		if inst.Src1 != isa.RegNone {
-			if p := s.producer[inst.Src1]; p >= 0 && s.rob[p].present {
+			if p := s.producer[inst.Src1]; p >= 0 {
 				e.src1Rob, e.src1Seq = p, s.rob[p].seq
 			}
 		}
 		if inst.Src2 != isa.RegNone {
-			if p := s.producer[inst.Src2]; p >= 0 && s.rob[p].present {
+			if p := s.producer[inst.Src2]; p >= 0 {
 				e.src2Rob, e.src2Seq = p, s.rob[p].seq
 			}
 		}
@@ -824,7 +790,6 @@ func (s *Sim) dispatch() {
 		}
 		if inst.Class.IsMem() {
 			s.lsq = append(s.lsq, rob)
-			e.lsqIdx = len(s.lsq) - 1
 		}
 		if f.mispred {
 			s.waitBranch = rob

@@ -10,16 +10,14 @@ import (
 // map-outs change. These are the quantities that explain WHERE the 4%
 // fault-free degradation and the degraded-mode losses come from.
 type Occupancy struct {
-	Cycles               int64
-	IntIQSum, FPIQSum    int64
-	LSQSum, ROBSum       int64
-	IntIQPeak, FPIQPeak  int
-	LSQPeak, ROBPeak     int
-	IssueSlotsUsed       int64 // instructions issued
-	IssueCyclesSaturated int64 // cycles issuing a full width
-	DispatchStallIQ      int64 // dispatch blocked on queue space
-	DispatchStallROB     int64
-	DispatchStallLSQ     int64
+	Cycles              int64
+	IntIQSum, FPIQSum   int64
+	LSQSum, ROBSum      int64
+	IntIQPeak, FPIQPeak int
+	LSQPeak, ROBPeak    int
+	DispatchStallIQ     int64 // dispatch blocked on queue space
+	DispatchStallROB    int64
+	DispatchStallLSQ    int64
 }
 
 func maxi(a, b int) int {

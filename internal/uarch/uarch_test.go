@@ -170,3 +170,20 @@ func TestDeterminism(t *testing.T) {
 		t.Fatalf("nondeterministic: %+v vs %+v", a, b)
 	}
 }
+
+// TestWedgedSimPanics hand-wedges a simulator: fetch waits for a redirect
+// from a mispredicted branch that is not in the machine, so nothing ever
+// commits. Run must give up with a panic rather than spin forever.
+func TestWedgedSimPanics(t *testing.T) {
+	s, err := New(RescueParams(), bench(t, "gzip"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.mispredInFlight = true
+	defer func() {
+		if recover() == nil {
+			t.Fatal("wedged simulation returned without panicking")
+		}
+	}()
+	s.Run(0, 1)
+}

@@ -2,7 +2,8 @@
 # Golden equivalence check for the parallel fault-simulation campaign
 # engine: regenerate the small-config Table 3, isolation, and Monte Carlo
 # fab-fleet reports at two different worker counts and diff them against
-# the committed golden files.
+# the committed golden files. The full Figure 8 IPC study (the cycle
+# simulator over all 23 profiles) runs once, at the last worker count.
 # Any drift — numeric or ordering — fails the build. Timings are suppressed
 # (-timing=false) so the outputs are byte-stable.
 #
@@ -27,6 +28,7 @@ trap 'rm -rf "$tmp"' EXIT
 go build -o "$tmp/rescue-atpg" ./cmd/rescue-atpg
 go build -o "$tmp/rescue-isolate" ./cmd/rescue-isolate
 go build -o "$tmp/rescue-fab" ./cmd/rescue-fab
+go build -o "$tmp/rescue-sim" ./cmd/rescue-sim
 
 fail=0
 for w in "${workers[@]}"; do
@@ -51,6 +53,14 @@ for w in "${workers[@]}"; do
         fail=1
     fi
 done
+
+w=${workers[${#workers[@]}-1]}
+echo "== figure 8, workers=$w"
+"$tmp/rescue-sim" -workers "$w" > "$tmp/figure8.txt"
+if ! diff -u results/figure8.txt "$tmp/figure8.txt"; then
+    echo "FAIL: figure8.txt drifted at workers=$w" >&2
+    fail=1
+fi
 
 # ~50% of each command's total campaign fault-sims on the small config
 # (rescue-atpg ≈ 134k across both variants; rescue-isolate ≈ 89k;
@@ -134,4 +144,4 @@ if [ "$fail" -ne 0 ]; then
     echo "golden check FAILED" >&2
     exit 1
 fi
-echo "golden check OK: outputs identical to committed results at workers: ${workers[*]}, interrupt-resume included"
+echo "golden check OK: outputs identical to committed results at workers: ${workers[*]}, Figure 8 and interrupt-resume included"

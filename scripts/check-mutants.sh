@@ -1,15 +1,18 @@
 #!/usr/bin/env bash
-# Mutation check for the fault-simulation verification net: inject
-# hand-picked single-line mutants into the simulator hot path — the cone
-# builder, the clipped and full event walks, the excitation-skip index,
-# the epoch arena, the campaign word tiler, and the netlist view builder
-# the simulator reads its gate structure from — and require that the
-# differential harness or the targeted unit tests catch every one. A
-# surviving mutant means the net has a blind spot — the build fails.
+# Mutation check for the simulators' verification nets: inject
+# hand-picked single-line mutants into the fault-simulator hot path — the
+# cone builder, the clipped and full event walks, the excitation-skip
+# index, the epoch arena, the campaign word tiler, and the netlist view
+# builder the simulator reads its gate structure from — and into the
+# cycle simulator's derived completion and in-flight tests, and require
+# that the differential harness or the targeted unit tests catch every
+# one. A surviving mutant means the net has a blind spot — the build
+# fails.
 #
 # Each mutant is a sed substitution against one source file (sim.go,
 # cone.go and campaign.go under internal/fault; view.go under
-# internal/netlist), chosen to break a distinct mechanism:
+# internal/netlist; sim.go under internal/uarch), chosen to break a
+# distinct mechanism:
 #    1 sim.go      off-by-one: drop the last level bucket from the full walk
 #    2 sim.go      inverted obs-epoch guard: FailObs dedup records nothing
 #    3 sim.go      inverted lane mask: clipped path observes only padding lanes
@@ -36,21 +39,28 @@
 #                  net's offset is wrong and the reader array is mis-sized
 #   18 view.go     level taken from the first gate-driven input instead of
 #                  the maximum: level buckets and cone order break
+#   19 uarch/sim.go commit accepts an entry in its doneCycle: instructions
+#                  retire a cycle early
+#   20 uarch/sim.go srcReady treats the last retired seq as still in
+#                  flight: its consumers read a recycled ROB slot
 #
 # Catchers, in order: the sim-vs-oracle differential harness (fast, runs
 # first), then the unit tests targeting the cone/epoch/tiling/excitation
 # machinery and the view builder (TestViewMatchesGates) for mutants whose
 # Results stay byte-identical (6, 13, 14) or that need low-lane patterns
-# to discriminate (11, 12).
+# to discriminate (11, 12), and the cycle simulator's golden
+# (TestSimGolden) for 19 and 20. The unit catcher runs under a short
+# -timeout so a mutant that wedges a simulation fails instead of hanging.
 #
 # Usage: scripts/check-mutants.sh [seed range, default 0:40]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 range="${1:-0:40}"
-files=(internal/fault/sim.go internal/fault/cone.go internal/fault/campaign.go internal/netlist/view.go)
-unit_pkgs=(./internal/fault ./internal/netlist)
-unit_run='Cone|Epoch|Tiling|Excitation|Drop|Overflow|Determinism|View'
+files=(internal/fault/sim.go internal/fault/cone.go internal/fault/campaign.go internal/netlist/view.go internal/uarch/sim.go)
+unit_pkgs=(./internal/fault ./internal/netlist ./internal/uarch)
+unit_run='Cone|Epoch|Tiling|Excitation|Drop|Overflow|Determinism|View|SimGolden'
+unit_timeout=3m
 
 # target path|sed substitution
 mutants=(
@@ -72,6 +82,8 @@ mutants=(
   'internal/fault/campaign.go|s/keep = append(keep, \*t)/_ = t/'
   'internal/netlist/view.go|s/for i := 0; i < nNets; i++ {/for i := 0; i < nNets-1; i++ {/'
   'internal/netlist/view.go|s/lv = v.Level\[d\] + 1$/lv = v.Level[d] + 1; break/'
+  'internal/uarch/sim.go|s/if !e.issued || e.doneCycle >= s.now {/if !e.issued || e.doneCycle > s.now {/'
+  'internal/uarch/sim.go|s/if p < 0 || seq <= s.retired {/if p < 0 || seq < s.retired {/'
 )
 
 tmp=$(mktemp -d)
@@ -89,7 +101,7 @@ trap 'restore; rm -rf "$tmp"' EXIT
 echo "== baseline: both catchers must pass on unmutated code"
 go build -o "$tmp/rescue-diffcheck" ./cmd/rescue-diffcheck
 "$tmp/rescue-diffcheck" -seeds "$range" -workers 1,2 > /dev/null
-go test -count=1 -run "$unit_run" "${unit_pkgs[@]}" > /dev/null
+go test -count=1 -timeout "$unit_timeout" -run "$unit_run" "${unit_pkgs[@]}" > /dev/null
 
 fail=0
 for i in "${!mutants[@]}"; do
@@ -112,7 +124,7 @@ for i in "${!mutants[@]}"; do
         echo "ok: mutant $((i + 1)) caught by the differential harness"
         continue
     fi
-    if ! go test -count=1 -run "$unit_run" "${unit_pkgs[@]}" > "$tmp/out.txt" 2>&1; then
+    if ! go test -count=1 -timeout "$unit_timeout" -run "$unit_run" "${unit_pkgs[@]}" > "$tmp/out.txt" 2>&1; then
         echo "ok: mutant $((i + 1)) caught by the unit tests"
         continue
     fi
