@@ -8,7 +8,7 @@
 //	           [-workers N] [-timeout D] [-progress]
 //	           [-degraded fe,ib,fb,iqi,iqf,lsq]
 //
-// SIGINT/SIGTERM stop the study between simulations and exit 130; a
+// SIGINT/SIGTERM stop the study, mid-simulation included, and exit 130; a
 // -timeout deadline exits 124.
 package main
 
@@ -100,7 +100,9 @@ func runReport(ctx context.Context, names []string, warmup, commit int64) {
 			if err != nil {
 				cli.Fatalf("%v", err)
 			}
-			s.Run(warmup, commit)
+			if _, err := s.RunContext(ctx, warmup, commit); err != nil {
+				cli.ExitErr(err)
+			}
 			fmt.Printf("=== %s / %s ===\n%s\n", name, label, s.Report())
 		}
 	}
@@ -143,15 +145,21 @@ func runDegraded(ctx context.Context, names []string, spec string, warmup, commi
 		if err != nil {
 			cli.Fatalf("%v", err)
 		}
-		full := sf.Run(warmup, commit).IPC()
+		full, err := sf.RunContext(ctx, warmup, commit)
+		if err != nil {
+			cli.ExitErr(err)
+		}
 		pd := uarch.RescueParams()
 		pd.Degr = d
 		sd, err := uarch.New(pd, prof)
 		if err != nil {
 			cli.Fatalf("%v", err)
 		}
-		deg := sd.Run(warmup, commit).IPC()
-		fmt.Printf("%-10s %9.3f %10.3f %6.1f%%\n", name, full, deg, (1-deg/full)*100)
+		deg, err := sd.RunContext(ctx, warmup, commit)
+		if err != nil {
+			cli.ExitErr(err)
+		}
+		fmt.Printf("%-10s %9.3f %10.3f %6.1f%%\n", name, full.IPC(), deg.IPC(), (1-deg.IPC()/full.IPC())*100)
 	}
 }
 

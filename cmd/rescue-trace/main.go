@@ -105,10 +105,13 @@ func replay(args []string) {
 	if err != nil {
 		cli.ExitErr(err)
 	}
-	st := sim.Run(*warmup, *commit)
-	// A context abort surfaces as the reader's sticky error: report it as
-	// an interrupt/deadline, not a decode failure.
-	if err := tr.Err(); err != nil {
+	st, err := sim.RunContext(ctx, *warmup, *commit)
+	if err == nil {
+		// A context abort while decoding surfaces as the reader's sticky
+		// error: report it as an interrupt/deadline, not a decode failure.
+		err = tr.Err()
+	}
+	if err != nil {
 		cli.ExitErr(err)
 	}
 	machine := "baseline"

@@ -9,7 +9,7 @@
 //	rescue-yat [-stagnate 90|65] [-bench list] [-warmup N] [-commit N]
 //	           [-workers N] [-timeout D] [-progress] [-timing=false]
 //
-// SIGINT/SIGTERM stop the study between simulations and exit 130; a
+// SIGINT/SIGTERM stop the study, mid-simulation included, and exit 130; a
 // -timeout deadline exits 124.
 package main
 

@@ -83,6 +83,7 @@ func GenerateFlow(ctx context.Context, c *scan.Chain, u *fault.Universe, cfg Gen
 		return err
 	}
 	xfill := func() uint64 { return g.rng.Uint64() }
+	pd := newPodem(c.N) // one workspace for every fault
 	for i := range g.remaining {
 		if !g.remaining[i] {
 			continue
@@ -93,7 +94,7 @@ func GenerateFlow(ctx context.Context, c *scan.Chain, u *fault.Universe, cfg Gen
 		if err := ctx.Err(); err != nil {
 			return g.result(), context.Cause(ctx)
 		}
-		cube, res := Podem(c.N, u.Collapsed[i], cfg.MaxBacktracks)
+		cube, res := pd.run(u.Collapsed[i], cfg.MaxBacktracks)
 		switch res {
 		case Untestable:
 			g.drop(i)

@@ -1,27 +1,54 @@
 package atpg
 
 import (
+	"slices"
+
 	"rescue/internal/netlist"
 )
 
-// podem is the working state of one PODEM run.
+// podem is the working state of PODEM on one netlist. Its arrays are
+// sized once and reused fault after fault: run resets them for the next
+// fault.
 type podem struct {
-	n     *netlist.Netlist
-	v     *netlist.View // the netlist's levelized gate arrays
-	fault netlist.Fault
-	stuck V3 // the fault's stuck value
+	n      *netlist.Netlist
+	v      *netlist.View // the netlist's levelized gate arrays
+	fault  netlist.Fault
+	stuck  V3            // the fault's stuck value
+	faultQ netlist.NetID // the faulted FF's Q net, or InvalidNet for a gate fault
 
 	// pis lists the controllable points: primary inputs then FF Q nets.
 	pis []netlist.NetID
 	// piIndex maps net -> index in pis, or -1.
 	piIndex []int
-	// assign holds the current PI decisions (X = unassigned).
+	// assign holds the current PI decisions (X = unassigned); set is its
+	// one writer and records each changed PI in dirty for the next imply.
 	assign []V3
+	dirty  []int
 
 	good, bad []V3 // per-net planes
+	goodX     []V3 // the good plane with every PI unassigned
 
-	obsNets []netlist.NetID
+	// The fault's fan-out cone: the gates reachable from the fault site,
+	// the only ones whose faulty-plane value can differ from the good one.
+	// Every other net has bad == good.
+	cone    []netlist.GateID // ascending gate ID
+	inCone  []bool           // per gate
+	coneObs []netlist.NetID  // observed nets an error can reach
 
+	// Event-driven implication: per-level buckets of gates to evaluate.
+	queued  []bool // per gate
+	buckets [][]netlist.GateID
+
+	// dFrontier's result, valid until the next imply.
+	frontier   []netlist.GateID
+	frontierOK bool
+
+	// xPathExists scratch: gate g is visited when seen[g] == seenEp.
+	seen   []uint32
+	seenEp uint32
+	walk   []netlist.GateID
+
+	decisions     []decision
 	backtracks    int
 	maxBacktracks int
 }
@@ -57,13 +84,51 @@ func (r PodemResult) String() string {
 // Podem attempts to generate a test for fault f on n. maxBacktracks bounds
 // the search (typical production values are 10-100).
 func Podem(n *netlist.Netlist, f netlist.Fault, maxBacktracks int) (Cube, PodemResult) {
-	p := newPodem(n, f, maxBacktracks)
+	return newPodem(n).run(f, maxBacktracks)
+}
+
+// newPodem sizes the working state for n and computes the all-X good
+// plane, the one full implication pass every run starts from.
+func newPodem(n *netlist.Netlist) *podem {
+	v := n.View()
+	nGates, nNets := len(v.Out), n.NumNets()
+	p := &podem{n: n, v: v}
+	p.pis = make([]netlist.NetID, 0, len(n.Inputs)+n.NumFFs())
+	p.pis = append(p.pis, n.Inputs...)
+	for i := range n.FFs {
+		p.pis = append(p.pis, n.FFs[i].Q)
+	}
+	p.piIndex = make([]int, nNets)
+	for i := range p.piIndex {
+		p.piIndex[i] = -1
+	}
+	for i, net := range p.pis {
+		p.piIndex[net] = i
+	}
+	p.assign = make([]V3, len(p.pis))
+	p.good = make([]V3, nNets)
+	p.bad = make([]V3, nNets)
+	p.goodX = make([]V3, nNets)
+	for _, g := range v.Order {
+		p.goodX[v.Out[g]] = p.eval3(p.goodX, g, -1)
+	}
+	p.inCone = make([]bool, nGates)
+	p.queued = make([]bool, nGates)
+	p.buckets = make([][]netlist.GateID, v.MaxLevel+1)
+	p.seen = make([]uint32, nGates)
+	return p
+}
+
+// run generates a test for fault f, reusing p's arrays.
+func (p *podem) run(f netlist.Fault, maxBacktracks int) (Cube, PodemResult) {
+	p.reset(f, maxBacktracks)
 	ok, aborted := p.search()
-	cube := Cube{PI: make([]V3, len(n.Inputs)), FF: make([]V3, n.NumFFs())}
-	copy(cube.PI, p.assign[:len(n.Inputs)])
-	copy(cube.FF, p.assign[len(n.Inputs):])
 	switch {
 	case ok:
+		n := p.n
+		cube := Cube{PI: make([]V3, len(n.Inputs)), FF: make([]V3, n.NumFFs())}
+		copy(cube.PI, p.assign[:len(n.Inputs)])
+		copy(cube.FF, p.assign[len(n.Inputs):])
 		return cube, Detected
 	case aborted:
 		return Cube{}, Aborted
@@ -72,29 +137,66 @@ func Podem(n *netlist.Netlist, f netlist.Fault, maxBacktracks int) (Cube, PodemR
 	}
 }
 
-// newPodem sets up the working state for one run: every PI unassigned.
-func newPodem(n *netlist.Netlist, f netlist.Fault, maxBacktracks int) *podem {
-	p := &podem{n: n, v: n.View(), fault: f, stuck: saVal(f.StuckAt1), maxBacktracks: maxBacktracks}
-	p.pis = make([]netlist.NetID, 0, len(n.Inputs)+n.NumFFs())
-	p.pis = append(p.pis, n.Inputs...)
-	for i := range n.FFs {
-		p.pis = append(p.pis, n.FFs[i].Q)
+// reset readies p for fault f with every PI unassigned: both planes
+// start from the all-X good plane, the fault's cone is computed, and the
+// fault site is implied into the faulty plane.
+func (p *podem) reset(f netlist.Fault, maxBacktracks int) {
+	p.fault, p.stuck, p.maxBacktracks, p.backtracks = f, saVal(f.StuckAt1), maxBacktracks, 0
+	p.faultQ = netlist.InvalidNet
+	if f.Gate < 0 && f.FF >= 0 {
+		p.faultQ = p.n.FFs[f.FF].Q
 	}
-	p.piIndex = make([]int, n.NumNets())
-	for i := range p.piIndex {
-		p.piIndex[i] = -1
+	clear(p.assign)
+	p.dirty = p.dirty[:0]
+	copy(p.good, p.goodX)
+	copy(p.bad, p.goodX)
+	p.buildCone()
+	switch {
+	case f.Gate >= 0:
+		p.enqueue(f.Gate)
+	case p.faultQ != netlist.InvalidNet:
+		p.bad[p.faultQ] = p.stuck
+		p.schedule(p.faultQ)
 	}
-	for i, net := range p.pis {
-		p.piIndex[net] = i
+	p.imply()
+}
+
+// buildCone collects the gates reachable from the fault site — for a gate
+// fault the faulty gate and everything its output reaches, for an FF
+// fault everything its Q reaches — and the observed nets among their
+// outputs (and Q).
+func (p *podem) buildCone() {
+	v := p.v
+	for _, g := range p.cone {
+		p.inCone[g] = false
 	}
-	p.assign = make([]V3, len(p.pis))
-	p.good = make([]V3, n.NumNets())
-	p.bad = make([]V3, n.NumNets())
-	for fi := range n.FFs {
-		p.obsNets = append(p.obsNets, n.FFs[fi].D)
+	p.cone, p.coneObs = p.cone[:0], p.coneObs[:0]
+	add := func(net netlist.NetID) {
+		for _, r := range v.Rdrs[v.RdrOff[net]:v.RdrOff[net+1]] {
+			if !p.inCone[r] {
+				p.inCone[r] = true
+				p.cone = append(p.cone, r)
+			}
+		}
 	}
-	p.obsNets = append(p.obsNets, n.Outputs...)
-	return p
+	switch {
+	case p.fault.Gate >= 0:
+		p.inCone[p.fault.Gate] = true
+		p.cone = append(p.cone, p.fault.Gate)
+	case p.faultQ != netlist.InvalidNet:
+		add(p.faultQ)
+		if v.ObsHead[p.faultQ] >= 0 {
+			p.coneObs = append(p.coneObs, p.faultQ)
+		}
+	}
+	for i := 0; i < len(p.cone); i++ {
+		out := v.Out[p.cone[i]]
+		if v.ObsHead[out] >= 0 {
+			p.coneObs = append(p.coneObs, out)
+		}
+		add(out)
+	}
+	slices.Sort(p.cone)
 }
 
 type decision struct {
@@ -103,9 +205,16 @@ type decision struct {
 	triedBoth bool
 }
 
+// set assigns PI pi (X unassigns it), to be implied by the next imply.
+func (p *podem) set(pi int, val V3) {
+	p.assign[pi] = val
+	p.dirty = append(p.dirty, pi)
+}
+
 // search runs the PODEM decision loop. Returns (found, aborted).
 func (p *podem) search() (bool, bool) {
-	var stack []decision
+	stack := p.decisions[:0]
+	defer func() { p.decisions = stack[:0] }()
 	for {
 		p.imply()
 		if p.errorAtOutput() {
@@ -118,7 +227,7 @@ func (p *podem) search() (bool, bool) {
 				pi, pv := p.backtrace(net, val)
 				if pi >= 0 {
 					stack = append(stack, decision{pi: pi, value: pv})
-					p.assign[pi] = pv
+					p.set(pi, pv)
 					continue
 				}
 			}
@@ -131,12 +240,12 @@ func (p *podem) search() (bool, bool) {
 			if !d.triedBoth {
 				d.triedBoth = true
 				d.value = not3(d.value)
-				p.assign[d.pi] = d.value
+				p.set(d.pi, d.value)
 				p.backtracks++
 				flipped = true
 				break
 			}
-			p.assign[d.pi] = X
+			p.set(d.pi, X)
 			stack = stack[:len(stack)-1]
 		}
 		if !flipped {
@@ -148,33 +257,66 @@ func (p *podem) search() (bool, bool) {
 	}
 }
 
-// imply performs full forward 5-valued implication from the current PI
-// assignments.
+// imply brings both planes up to date with the PI assignments. Forward
+// implication is a pure function of the assignment, so re-evaluating only
+// what a change reaches gives the full pass's result on every net: the
+// PIs set since the last call are written into the planes, then gates are
+// evaluated level by level from the readers of every net whose good or
+// faulty value changed.
 func (p *podem) imply() {
-	for i := range p.good {
-		p.good[i] = X
-		p.bad[i] = X
-	}
-	for i, net := range p.pis {
-		p.good[net] = p.assign[i]
-		p.bad[net] = p.assign[i]
-	}
-	f := p.fault
-	// FF-output fault: faulty plane of Q is forced
-	if f.Gate < 0 && f.FF >= 0 {
-		p.bad[p.n.FFs[f.FF].Q] = p.stuck
-	}
-	for _, g := range p.v.Order {
-		out := p.v.Out[g]
-		p.good[out] = p.eval3(p.good, g, -1)
-		switch {
-		case g != f.Gate:
-			p.bad[out] = p.eval3(p.bad, g, -1)
-		case f.Pin >= 0:
-			p.bad[out] = p.eval3(p.bad, g, f.Pin)
-		default:
-			p.bad[out] = p.stuck
+	p.frontierOK = false
+	for _, pi := range p.dirty {
+		net := p.pis[pi]
+		good, bad := p.assign[pi], p.assign[pi]
+		if net == p.faultQ {
+			bad = p.stuck // a faulted Q reads the stuck value
 		}
+		if good != p.good[net] || bad != p.bad[net] {
+			p.good[net], p.bad[net] = good, bad
+			p.schedule(net)
+		}
+	}
+	p.dirty = p.dirty[:0]
+	v, f := p.v, p.fault
+	for lv := range p.buckets {
+		// A gate's readers sit on higher levels, so this bucket does not
+		// grow while it drains.
+		for _, g := range p.buckets[lv] {
+			p.queued[g] = false
+			good := p.eval3(p.good, g, -1)
+			bad := good // outside the cone the planes agree
+			switch {
+			case !p.inCone[g]:
+			case g != f.Gate:
+				bad = p.eval3(p.bad, g, -1)
+			case f.Pin >= 0:
+				bad = p.eval3(p.bad, g, f.Pin)
+			default:
+				bad = p.stuck
+			}
+			if out := v.Out[g]; good != p.good[out] || bad != p.bad[out] {
+				p.good[out], p.bad[out] = good, bad
+				p.schedule(out)
+			}
+		}
+		p.buckets[lv] = p.buckets[lv][:0]
+	}
+}
+
+// schedule queues every gate reading net.
+func (p *podem) schedule(net netlist.NetID) {
+	v := p.v
+	for _, g := range v.Rdrs[v.RdrOff[net]:v.RdrOff[net+1]] {
+		p.enqueue(g)
+	}
+}
+
+// enqueue queues gate g for evaluation at its level, once.
+func (p *podem) enqueue(g netlist.GateID) {
+	if !p.queued[g] {
+		p.queued[g] = true
+		lv := p.v.Level[g]
+		p.buckets[lv] = append(p.buckets[lv], g)
 	}
 }
 
@@ -277,14 +419,15 @@ func (p *podem) isError(net netlist.NetID) bool {
 	return g != X && b != X && g != b
 }
 
+// errorAtOutput reports whether an error reached an observation point.
 func (p *podem) errorAtOutput() bool {
-	for _, net := range p.obsNets {
+	for _, net := range p.coneObs {
 		if p.isError(net) {
 			return true
 		}
 	}
 	// FF-output faults are observed directly on scan-out of the faulty cell
-	if p.fault.Gate < 0 && p.fault.FF >= 0 {
+	if p.faultQ != netlist.InvalidNet {
 		d := p.n.FFs[p.fault.FF].D
 		if p.good[d] != X && p.good[d] != p.stuck {
 			return true
@@ -337,37 +480,43 @@ func (p *podem) feasible() bool {
 	return true
 }
 
+// anyError reports whether some net carries an error. Only the cone's
+// outputs and a faulted Q can.
 func (p *podem) anyError() bool {
-	for _, out := range p.v.Out {
-		if p.isError(out) {
+	for _, g := range p.cone {
+		if p.isError(p.v.Out[g]) {
 			return true
 		}
 	}
-	if p.fault.Gate < 0 && p.fault.FF >= 0 && p.isError(p.n.FFs[p.fault.FF].Q) {
-		return true
-	}
-	return false
+	return p.faultQ != netlist.InvalidNet && p.isError(p.faultQ)
 }
 
 // dFrontier returns gates with an error on some input and a non-error,
-// not-fully-determined output.
+// not-fully-determined output, in ascending gate ID. A gate reading an
+// error is in the cone, so the cone is all it scans. The slice is reused
+// and valid until the next imply.
 func (p *podem) dFrontier() []netlist.GateID {
-	var out []netlist.GateID
-	for gi, o := range p.v.Out {
+	if p.frontierOK {
+		return p.frontier
+	}
+	p.frontier = p.frontier[:0]
+	for _, g := range p.cone {
+		o := p.v.Out[g]
 		if p.isError(o) {
 			continue
 		}
 		if p.good[o] != X && p.bad[o] != X {
 			continue // fully determined, error cannot appear anymore
 		}
-		for _, in := range p.pins(netlist.GateID(gi)) {
+		for _, in := range p.pins(g) {
 			if p.isError(in) {
-				out = append(out, netlist.GateID(gi))
+				p.frontier = append(p.frontier, g)
 				break
 			}
 		}
 	}
-	return out
+	p.frontierOK = true
+	return p.frontier
 }
 
 // xPathExists checks structural reachability from any error net or
@@ -382,16 +531,21 @@ func (p *podem) xPathExists() bool {
 	if len(frontier) == 0 {
 		return false
 	}
+	p.seenEp++
+	if p.seenEp == 0 { // wrapped: forget every old stamp
+		clear(p.seen)
+		p.seenEp = 1
+	}
 	v := p.v
-	seen := make([]bool, len(v.Out))
-	stack := append([]netlist.GateID(nil), frontier...)
+	stack := append(p.walk[:0], frontier...)
+	defer func() { p.walk = stack[:0] }()
 	for len(stack) > 0 {
 		g := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if seen[g] {
+		if p.seen[g] == p.seenEp {
 			continue
 		}
-		seen[g] = true
+		p.seen[g] = p.seenEp
 		out := v.Out[g]
 		if v.ObsHead[out] >= 0 {
 			return true

@@ -234,6 +234,10 @@ func TestDeadlineExitCodes(t *testing.T) {
 		{"fab bad node", "rescue-fab", []string{"-node=45"}, 2, "usage error"},
 		{"sim deadline", "rescue-sim",
 			[]string{"-timeout=1ns", "-bench", "gzip", "-warmup", "100", "-commit", "100"}, 124, "deadline"},
+		// The deadline fires inside one long simulation (tens of seconds
+		// uninterrupted), which must stop mid-run rather than finish first.
+		{"sim deadline mid-simulation", "rescue-sim",
+			[]string{"-timeout=1s", "-bench", "gzip", "-warmup", "0", "-commit", "30000000", "-workers", "1"}, 124, "deadline"},
 		{"yat deadline", "rescue-yat",
 			[]string{"-timeout=1ns", "-bench", "gzip", "-warmup", "10", "-commit", "10"}, 124, "deadline"},
 		{"trace record deadline", "rescue-trace",

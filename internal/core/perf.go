@@ -46,13 +46,15 @@ type IPCRow struct {
 	DegradationPct float64
 }
 
-// runIPC simulates one configuration of one benchmark.
-func runIPC(p uarch.Params, prof workload.Profile, warmup, commit int64) (float64, error) {
+// runIPC simulates one configuration of one benchmark, stopping early with
+// the context's cause once ctx is done.
+func runIPC(ctx context.Context, p uarch.Params, prof workload.Profile, warmup, commit int64) (float64, error) {
 	s, err := uarch.New(p, prof)
 	if err != nil {
 		return 0, err
 	}
-	return s.Run(warmup, commit).IPC(), nil
+	st, err := s.RunContext(ctx, warmup, commit)
+	return st.IPC(), err
 }
 
 // parallelMapCtx runs jobs across workers goroutines (<= 0 = all CPUs)
@@ -96,8 +98,9 @@ dispatch:
 // the given benchmarks (nil = all 23) at a simulation concurrency degree
 // of workers (<= 0 = all cores). Rows land in disjoint per-index slots —
 // no shared state, nothing to lock — so the result is identical at any
-// worker count. Once ctx is done no new benchmark simulations start and
-// the context's cause is returned (the partial rows alongside it).
+// worker count. Once ctx is done no new benchmark simulations start,
+// running ones stop within 4,096 cycles, and the context's cause is
+// returned (the partial rows alongside it).
 func IPCStudyFlow(ctx context.Context, benchNames []string, warmup, commit int64, workers int) ([]IPCRow, error) {
 	defer obs.Span(ctx, "ipc_study")()
 	profs, err := resolve(benchNames)
@@ -109,8 +112,8 @@ func IPCStudyFlow(ctx context.Context, benchNames []string, warmup, commit int64
 	progress := fault.ProgressFromContext(ctx)
 	var done atomic.Int64
 	cerr := parallelMapCtx(ctx, len(profs), workers, func(i int) {
-		base, err1 := runIPC(uarch.DefaultParams(), profs[i], warmup, commit)
-		resc, err2 := runIPC(uarch.RescueParams(), profs[i], warmup, commit)
+		base, err1 := runIPC(ctx, uarch.DefaultParams(), profs[i], warmup, commit)
+		resc, err2 := runIPC(ctx, uarch.RescueParams(), profs[i], warmup, commit)
 		if err1 != nil {
 			errs[i] = err1
 		} else if err2 != nil {
@@ -178,8 +181,8 @@ func toDegraded(c yield.CoreConfig) uarch.Degraded {
 // BuildPerfModelFlow simulates every (benchmark, degraded configuration)
 // pair at a node across workers (<= 0 = all cores). This is the expensive
 // step of Figure 9; warmup/commit control the accuracy/runtime trade. Once
-// ctx is done no new simulations start and the context's cause is
-// returned.
+// ctx is done no new simulations start, running ones stop within 4,096
+// cycles, and the context's cause is returned.
 func BuildPerfModelFlow(ctx context.Context, node area.Scaling, benchNames []string, warmup, commit int64, workers int) (*PerfModel, error) {
 	return BuildPerfModelFlowParams(ctx, node, uarch.DefaultParams(), uarch.RescueParams(), benchNames, warmup, commit, workers)
 }
@@ -231,7 +234,7 @@ func BuildPerfModelFlowParams(ctx context.Context, node area.Scaling, baseParams
 			p = ns.apply(rescParams)
 			p.Degr = toDegraded(cfgs[j.cfg])
 		}
-		results[i], errs[i] = runIPC(p, profs[j.bench], warmup, commit)
+		results[i], errs[i] = runIPC(ctx, p, profs[j.bench], warmup, commit)
 		if progress != nil {
 			progress(done.Add(1), int64(len(jobs)))
 		}

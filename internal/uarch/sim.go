@@ -1,6 +1,7 @@
 package uarch
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -16,6 +17,10 @@ const never = math.MaxInt64 / 4
 // the machine wedged. The longest legitimate gap is a few memory latencies
 // (250 cycles, x1.5 per technology halving), far below this.
 const wedgeCycles = 1 << 20
+
+// ctxCheckMask sets how often RunContext looks at its context: once every
+// 4,096 cycles, never per cycle.
+const ctxCheckMask = 1<<12 - 1
 
 // robEntry is one in-flight instruction. An entry is in flight while its
 // seq is above Sim.retired (commit is in order and nothing flushes the
@@ -238,6 +243,14 @@ func NewFromSource(p Params, src Source) (*Sim, error) {
 // Run simulates until `commit` instructions have committed (after `warmup`
 // committed instructions of stats-free warmup) and returns the statistics.
 func (s *Sim) Run(warmup, commit int64) Stats {
+	st, _ := s.RunContext(context.Background(), warmup, commit)
+	return st
+}
+
+// RunContext is Run under cooperative cancellation: once ctx is done it
+// stops within 4,096 cycles and returns the statistics so far with the
+// context's cause.
+func (s *Sim) RunContext(ctx context.Context, warmup, commit int64) (Stats, error) {
 	target := warmup
 	warm := true
 	retired, retiredAt := s.retired, s.now
@@ -250,12 +263,15 @@ func (s *Sim) Run(warmup, commit int64) Stats {
 			target = commit
 		}
 		if !warm && s.stats.Committed >= target {
-			return s.stats
+			return s.stats, nil
 		}
 		if s.retired != retired {
 			retired, retiredAt = s.retired, s.now
 		} else if s.now-retiredAt > wedgeCycles {
 			panic(fmt.Sprintf("uarch: simulation wedged: no commit in %d cycles", wedgeCycles))
+		}
+		if s.now&ctxCheckMask == 0 && ctx.Err() != nil {
+			return s.stats, context.Cause(ctx)
 		}
 	}
 }

@@ -1,7 +1,10 @@
 package uarch
 
 import (
+	"context"
+	"errors"
 	"testing"
+	"time"
 
 	"rescue/internal/workload"
 )
@@ -186,4 +189,39 @@ func TestWedgedSimPanics(t *testing.T) {
 		}
 	}()
 	s.Run(0, 1)
+}
+
+// TestRunContextCancel requires a cancelled simulation to stop promptly
+// with the context's cause: mid-run within a fraction of a second, and
+// with an already-cancelled context at the first 4,096-cycle check.
+func TestRunContextCancel(t *testing.T) {
+	cause := errors.New("operator stop")
+	ctx, cancel := context.WithCancelCause(context.Background())
+	s, err := New(RescueParams(), bench(t, "gzip"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	time.AfterFunc(50*time.Millisecond, func() { cancel(cause) })
+	start := time.Now()
+	st, err := s.RunContext(ctx, 0, 1<<40)
+	if !errors.Is(err, cause) {
+		t.Fatalf("RunContext returned %v, want the cancel cause", err)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Fatalf("RunContext took %v to notice the cancel", d)
+	}
+	if st.Committed == 0 {
+		t.Fatal("a cancelled run should report the statistics so far")
+	}
+
+	s, err = New(RescueParams(), bench(t, "gzip"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.RunContext(ctx, 0, 1<<40); !errors.Is(err, cause) {
+		t.Fatalf("RunContext on a done context returned %v", err)
+	}
+	if s.now != ctxCheckMask+1 {
+		t.Fatalf("done context noticed after %d cycles, want %d", s.now, ctxCheckMask+1)
+	}
 }

@@ -2,8 +2,10 @@
 # Golden equivalence check for the parallel fault-simulation campaign
 # engine: regenerate the small-config Table 3, isolation, and Monte Carlo
 # fab-fleet reports at two different worker counts and diff them against
-# the committed golden files. The full Figure 8 IPC study (the cycle
-# simulator over all 23 profiles) runs once, at the last worker count.
+# the committed golden files. The paper-scale outputs run once, at the
+# last worker count: the full Figure 8 IPC study (the cycle simulator over
+# all 23 profiles), the full-size Table 3 and the full-size isolation
+# campaign.
 # Any drift — numeric or ordering — fails the build. Timings are suppressed
 # (-timing=false) so the outputs are byte-stable.
 #
@@ -59,6 +61,20 @@ echo "== figure 8, workers=$w"
 "$tmp/rescue-sim" -workers "$w" > "$tmp/figure8.txt"
 if ! diff -u results/figure8.txt "$tmp/figure8.txt"; then
     echo "FAIL: figure8.txt drifted at workers=$w" >&2
+    fail=1
+fi
+
+echo "== table3 (full size), workers=$w"
+"$tmp/rescue-atpg" -timing=false -workers "$w" > "$tmp/table3.txt"
+if ! diff -u results/table3.txt "$tmp/table3.txt"; then
+    echo "FAIL: table3.txt drifted at workers=$w" >&2
+    fail=1
+fi
+
+echo "== isolation (full size), workers=$w"
+"$tmp/rescue-isolate" -per-stage 1000 -multi -timing=false -workers "$w" > "$tmp/isolation.txt"
+if ! diff -u results/isolation.txt "$tmp/isolation.txt"; then
+    echo "FAIL: isolation.txt drifted at workers=$w" >&2
     fail=1
 fi
 
@@ -144,4 +160,4 @@ if [ "$fail" -ne 0 ]; then
     echo "golden check FAILED" >&2
     exit 1
 fi
-echo "golden check OK: outputs identical to committed results at workers: ${workers[*]}, Figure 8 and interrupt-resume included"
+echo "golden check OK: outputs identical to committed results at workers: ${workers[*]}, Figure 8, full-size Table 3 and isolation, and interrupt-resume included"

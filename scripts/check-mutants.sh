@@ -1,18 +1,18 @@
 #!/usr/bin/env bash
-# Mutation check for the simulators' verification nets: inject
-# hand-picked single-line mutants into the fault-simulator hot path — the
-# cone builder, the clipped and full event walks, the excitation-skip
-# index, the epoch arena, the campaign word tiler, and the netlist view
-# builder the simulator reads its gate structure from — and into the
-# cycle simulator's derived completion and in-flight tests, and require
-# that the differential harness or the targeted unit tests catch every
-# one. A surviving mutant means the net has a blind spot — the build
-# fails.
+# Mutation check for the simulators' and PODEM's verification nets:
+# inject 22 hand-picked single-line mutants into the fault-simulator hot
+# path — the cone builder, the clipped and full event walks, the
+# excitation-skip index, the epoch arena, the campaign word tiler, and the
+# netlist view builder the simulator reads its gate structure from — into
+# the cycle simulator's derived completion and in-flight tests, and into
+# PODEM's event-driven implication, and require that the differential
+# harness or the targeted unit tests catch every one. A surviving mutant
+# means the net has a blind spot — the build fails.
 #
 # Each mutant is a sed substitution against one source file (sim.go,
 # cone.go and campaign.go under internal/fault; view.go under
-# internal/netlist; sim.go under internal/uarch), chosen to break a
-# distinct mechanism:
+# internal/netlist; sim.go under internal/uarch; podem.go under
+# internal/atpg), chosen to break a distinct mechanism:
 #    1 sim.go      off-by-one: drop the last level bucket from the full walk
 #    2 sim.go      inverted obs-epoch guard: FailObs dedup records nothing
 #    3 sim.go      inverted lane mask: clipped path observes only padding lanes
@@ -43,13 +43,19 @@
 #                  retire a cycle early
 #   20 uarch/sim.go srcReady treats the last retired seq as still in
 #                  flight: its consumers read a recycled ROB slot
+#   21 atpg/podem.go implication's change test compares only the good
+#                  plane: faulty-plane-only changes never propagate
+#   22 atpg/podem.go the PI seed writes a faulted FF's assigned Q value
+#                  into the faulty plane instead of its stuck value
 #
 # Catchers, in order: the sim-vs-oracle differential harness (fast, runs
 # first), then the unit tests targeting the cone/epoch/tiling/excitation
 # machinery and the view builder (TestViewMatchesGates) for mutants whose
 # Results stay byte-identical (6, 13, 14) or that need low-lane patterns
-# to discriminate (11, 12), and the cycle simulator's golden
-# (TestSimGolden) for 19 and 20. The unit catcher runs under a short
+# to discriminate (11, 12), the cycle simulator's golden
+# (TestSimGolden) for 19 and 20, and PODEM's incremental-vs-full
+# implication property test (TestIncrementalImply) and verdict golden
+# (TestPodemGolden) for 21 and 22. The unit catcher runs under a short
 # -timeout so a mutant that wedges a simulation fails instead of hanging.
 #
 # Usage: scripts/check-mutants.sh [seed range, default 0:40]
@@ -57,9 +63,9 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 range="${1:-0:40}"
-files=(internal/fault/sim.go internal/fault/cone.go internal/fault/campaign.go internal/netlist/view.go internal/uarch/sim.go)
-unit_pkgs=(./internal/fault ./internal/netlist ./internal/uarch)
-unit_run='Cone|Epoch|Tiling|Excitation|Drop|Overflow|Determinism|View|SimGolden'
+files=(internal/fault/sim.go internal/fault/cone.go internal/fault/campaign.go internal/netlist/view.go internal/uarch/sim.go internal/atpg/podem.go)
+unit_pkgs=(./internal/fault ./internal/netlist ./internal/uarch ./internal/atpg)
+unit_run='Cone|Epoch|Tiling|Excitation|Drop|Overflow|Determinism|View|SimGolden|PodemGolden|IncrementalImply'
 unit_timeout=3m
 
 # target path|sed substitution
@@ -84,6 +90,8 @@ mutants=(
   'internal/netlist/view.go|s/lv = v.Level\[d\] + 1$/lv = v.Level[d] + 1; break/'
   'internal/uarch/sim.go|s/if !e.issued || e.doneCycle >= s.now {/if !e.issued || e.doneCycle > s.now {/'
   'internal/uarch/sim.go|s/if p < 0 || seq <= s.retired {/if p < 0 || seq < s.retired {/'
+  'internal/atpg/podem.go|s/if out := v.Out\[g\]; good != p.good\[out\] || bad != p.bad\[out\] {/if out := v.Out[g]; good != p.good[out] {/'
+  'internal/atpg/podem.go|s/bad = p.stuck \/\/ a faulted Q reads the stuck value/bad = good/'
 )
 
 tmp=$(mktemp -d)
